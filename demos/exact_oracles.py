@@ -20,8 +20,9 @@ from seidelspectra.linalg import (
     schur_block_det_adjugate,
 )
 
-# charpoly_oracle implements the Faddeev-LeVerrier recurrence with Python
-# integers, so coefficients are exact at any size.
+# charpoly_oracle reduces the matrix to Hessenberg form modulo word-size
+# primes and recombines the residues by the Chinese remainder theorem up to
+# a proven bound on the coefficients, so coefficients are exact at any size.
 s = seidel_matrix(make_params(3, 1, 2))
 print("charpoly of the Seidel matrix:", charpoly_oracle(s))
 

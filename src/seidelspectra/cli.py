@@ -112,7 +112,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
     report = verify_instance(params, args.tol)
     spectrum = spectrum_closed(params, args.tol)
-    ok = report.charpoly_exact_match and report.spectrum_max_deviation <= args.tol
+    ok = report.passed(args.tol)
     if args.format == "json":
         payload = {
             "params": {"h": params.h, "p": params.p, "k": params.k, "n": params.n},

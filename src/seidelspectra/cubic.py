@@ -87,6 +87,22 @@ def _deflate(ints: Sequence[int], root: Fraction) -> list[int]:
     return _clear_denominators(quotient)
 
 
+def _scaled_value(ints: Sequence[int], x: RootValue) -> int:
+    """s(x) * den^deg for x = num/den, den > 0, in exact integer arithmetic.
+
+    Its sign is the sign of s(x).  Floats enter through their exact binary
+    value, so a sign change between two float endpoints proves a root
+    between them.
+    """
+    num, den = x.as_integer_ratio()
+    acc = 0
+    scale = 1
+    for c in reversed(ints):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
 def _horner_float(coeffs: Sequence[float], x: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -150,8 +166,12 @@ def cubic_root_values(
     """The three real roots, descending; rational roots come back exact.
 
     Entries are int or Fraction where the root is rational and float
-    otherwise.  Raises ComplexRoots on a negative discriminant and
-    DegenerateLeading when the cubic coefficient vanishes.
+    otherwise.  Every root is certified in exact integer arithmetic before
+    it is returned: a rational root r satisfies s(r) = 0, and a float root
+    r sees s change sign over [r - d, r + d] with d = tol * max(1, |r|).
+    A failed certificate raises InternalError.  Raises ComplexRoots on a
+    negative discriminant and DegenerateLeading when the cubic coefficient
+    vanishes.
     """
     if len(coeffs) != 4:
         raise ValueError(f"expected 4 coefficients (ascending), got {len(coeffs)}")
@@ -159,11 +179,18 @@ def cubic_root_values(
         raise DegenerateLeading("leading coefficient is zero, not a cubic")
     ints = tuple(_clear_denominators(coeffs))
     values = _solve_cached(ints)
-    poly = [float(c) for c in ints]
-    scale = max(1.0, max(abs(c) for c in poly))
-    worst = max(abs(_horner_float(poly, float(v))) for v in values)
-    if worst > max(tol, tol * scale):
-        raise InternalError(f"root residual {worst:.3e} exceeds tolerance {tol:.3e}")
+    for value in values:
+        if isinstance(value, float):
+            delta = tol * max(1.0, abs(value))
+            low = _scaled_value(ints, value - delta)
+            high = _scaled_value(ints, value + delta)
+            certified = low * high <= 0
+        else:
+            certified = _scaled_value(ints, value) == 0
+        if not certified:
+            raise InternalError(
+                f"root {value!r} not certified within tolerance {tol:.3e}"
+            )
     return values
 
 

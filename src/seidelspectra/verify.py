@@ -97,9 +97,10 @@ def eig_numeric(m: object, tol: float = 1e-9) -> tuple[float, ...]:
 def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationReport:
     """Compare the factored characteristic polynomial against both oracles."""
     start = time.perf_counter()
-    h, p, k, n = params
+    _, p, k, n = params
     seidel = seidel_matrix(params)
-    closed = charpoly_closed(params).expand()
+    factored = charpoly_closed(params)
+    closed = factored.expand()
     oracle = charpoly_oracle(seidel)
     top = max(closed.degree, oracle.degree)
     diffs = tuple(
@@ -114,14 +115,18 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
     )
 
     sum_sq_coeff = (-1) ** n * (-(n * (n - 1)) // 2)
+    trace = trace_exact(seidel)
+    _, _, c2, c3 = factored.cubic
     invariants = InvariantResults(
-        trace_zero=trace_exact(seidel) == 0,
+        trace_zero=trace == 0,
         sum_squares=(
             oracle.coeff(n - 2) == sum_sq_coeff
             and abs(sum(v * v for v in numeric) - n * (n - 1)) <= 1e-6
         ),
         degree=oracle.degree == n and closed.degree == n,
-        vieta_trace=(1 - 2 * p) * (k - 2) + (n - k - 1) + (n + 3 - 2 * h - 2 * p) == 0,
+        # the cubic's roots sum to -c2/c3, the linear factors' eigenvalues
+        # to (1-2p)(k-2) + (n-k-1); together they must give tr S
+        vieta_trace=c3 * ((1 - 2 * p) * (k - 2) + (n - k - 1) - trace) == c2,
     )
     return VerificationReport(
         params=params,

@@ -32,6 +32,7 @@ from seidelspectra.linalg import (
     complete_adjacency,
     det_exact,
     exact_matrix,
+    identity_matrix,
     schur_block_det,
     schur_block_det_adjugate,
 )
@@ -109,6 +110,40 @@ def test_factored_charpoly_matches_oracle_across_grid():
     assert summary.failed == 0
     print(f"[PASS] grid h<=7, k<=5: {len(summary.reports)} instances, all "
           f"coefficient-exact, {elapsed:.2f} s")
+
+
+def test_factored_charpoly_matches_oracle_at_n_100():
+    for h, p, k in ((30, 10, 8), (40, 10, 7)):
+        params = make_params(h, p, k)
+        assert params.n == 100
+        start = time.perf_counter()
+        oracle = charpoly_oracle(seidel_matrix(params))
+        elapsed = time.perf_counter() - start
+        assert oracle == charpoly_closed(params).expand(), params
+        print(f"[PASS] ({h},{p},{k}) n=100: all 101 coefficients exact, "
+              f"oracle {elapsed * 1000:.0f} ms")
+
+
+def test_oracle_sees_a_single_flipped_sign():
+    params = make_params(5, 2, 4)
+    n = params.n
+    seidel = seidel_matrix(params)
+    original = charpoly_oracle(seidel)
+    flipped = seidel.copy()
+    flipped[0, n - 1] *= -1
+    flipped[n - 1, 0] *= -1
+    changed = charpoly_oracle(flipped)
+    assert original == charpoly_closed(params).expand()
+    assert changed != original
+    # a sign flip keeps the entries' squares, hence the top three coefficients
+    assert all(changed.coeff(d) == original.coeff(d) for d in (n, n - 1, n - 2))
+    # degree n and agreement with Bareiss at n + 1 points pin the polynomial
+    assert all(
+        changed(t) == det_exact(flipped - t * identity_matrix(n))
+        for t in range(n + 1)
+    )
+    print(f"[PASS] flipping the sign of edge (0, {n - 1}) changes the "
+          f"oracle's charpoly at n={n}")
 
 
 def test_trace_and_sum_of_squares_invariants_across_grid():

@@ -107,6 +107,30 @@ def test_verify_json_payload(capsys):
     assert len(payload["notes"]) == 3
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_verify_exit_code_counts_failed_invariants(fmt, capsys, monkeypatch):
+    from seidelspectra import cli
+
+    real = cli.verify_instance
+
+    def broken(params, tol=1e-9):
+        report = real(params, tol)
+        bad = report.invariant_results._replace(vieta_trace=False)
+        return report._replace(invariant_results=bad)
+
+    monkeypatch.setattr(cli, "verify_instance", broken)
+    code = main(["verify", "--h", "3", "--p", "1", "--k", "2", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 1
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["charpoly_exact_match"] is True
+        assert payload["invariants"]["vieta_trace"] is False
+    else:
+        assert "charpoly exact match: yes" in out
+        assert "vieta_trace=FAIL" in out
+
+
 def test_sweep_csv_file(tmp_path, capsys):
     out_path = tmp_path / "grid.csv"
     code = main(["sweep", "--h-max", "3", "--k-max", "3",

@@ -1,10 +1,14 @@
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from seidelspectra import cubic
+from seidelspectra.cli import main
 from seidelspectra.cubic import cubic_discriminant, cubic_root_values, cubic_roots
-from seidelspectra.errors import ComplexRoots, DegenerateLeading
+from seidelspectra.errors import ComplexRoots, DegenerateLeading, InternalError
 from seidelspectra.polynomial import UniPoly, X
 
 
@@ -78,3 +82,31 @@ def test_seeded_irrational_residuals(rng):
             assert abs(poly(root)) <= 1e-9
         exact = [v for v in cubic_root_values(coeffs) if isinstance(v, int)]
         assert exact == [a]
+
+
+@pytest.mark.parametrize("h, p, k", [(44, 43, 1000), (8326, 1, 2)])
+def test_large_roots_pass_the_exact_certificate(h, p, k, capsys):
+    # the largest root is large against the coefficients, so a float
+    # residual test would reject these correct roots
+    assert main(["spectrum", "--h", str(h), "--p", str(p), "--k", str(k),
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    coeffs = payload["cubic"]
+    reference = sorted(np.roots(coeffs[::-1]).real, reverse=True)
+    values = cubic_root_values(coeffs)
+    assert max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(values, reference)) < 1e-9
+    assert sum(e["multiplicity"] for e in payload["eigenvalues"]) == payload["n"]
+
+
+def test_moved_root_is_rejected(monkeypatch):
+    coeffs = (5, 5, -1, -1)
+    good = cubic_root_values(coeffs)
+    assert isinstance(good[0], float)
+    monkeypatch.setattr(cubic, "_solve_cached",
+                        lambda ints: (good[0] + 1e-3, good[1], good[2]))
+    with pytest.raises(InternalError):
+        cubic_root_values(coeffs)
+    monkeypatch.setattr(cubic, "_solve_cached",
+                        lambda ints: (good[0], 0, good[2]))
+    with pytest.raises(InternalError):
+        cubic_root_values(coeffs)

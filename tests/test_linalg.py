@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, strategies as st
 
+from seidelspectra import linalg
 from seidelspectra.errors import SingularBlock, SingularInput
 from seidelspectra.linalg import (
     adjugate_exact,
@@ -134,6 +136,91 @@ def test_charpoly_agrees_with_symbolic_determinant(rng):
         n = rng.randint(1, 4)
         m = exact_matrix(random_matrix(rng, n))
         assert charpoly_oracle(m) == det_exact(char_matrix(m))
+
+
+# the modular oracle's first prime; an entry equal to it reduces to 0 there
+FIRST_PRIME = 2**31 - 1
+
+
+@st.composite
+def integer_matrices(draw, max_dim=5, bits=80):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    entry = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-(2**bits), max_value=2**bits),
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@seed(402653189)
+@given(integer_matrices())
+def test_charpoly_matches_symbolic_determinant_property(m):
+    assert charpoly_oracle(m) == det_exact(char_matrix(m))
+
+
+def test_charpoly_entries_above_2_64(rng):
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        m = [[rng.choice((-1, 1)) * rng.randint(2**64, 2**70) for _ in range(n)]
+             for _ in range(n)]
+        assert charpoly_oracle(m) == det_exact(char_matrix(m))
+
+
+def test_charpoly_pivot_swaps_and_empty_columns():
+    assert next(linalg._primes_below_2_31()) == FIRST_PRIME
+    for n in (1, 2, 5):
+        assert charpoly_oracle(zeros_matrix(n)) == (-X) ** n
+    for n in (2, 3, 6):
+        jordan = [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+        assert charpoly_oracle(jordan) == (-X) ** n
+        # cyclic shift: det(P - x*I) = (-1)^n (x^n - 1)
+        cycle = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+        assert charpoly_oracle(cycle) == (-1) ** n * (X**n - 1)
+    swapped = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    assert charpoly_oracle(swapped) == det_exact(char_matrix(swapped))
+    for m in (
+        [[1, 2, 3], [FIRST_PRIME, 4, 5], [6, 7, 8]],
+        [[1, 2, 3, 4], [FIRST_PRIME, 0, 1, 2], [FIRST_PRIME, 1, 0, 2], [5, 6, 7, 8]],
+        [[FIRST_PRIME, 1], [1, -FIRST_PRIME]],
+    ):
+        assert charpoly_oracle(m) == det_exact(char_matrix(m))
+
+
+def test_charpoly_dimension_one():
+    assert charpoly_oracle([[0]]) == -X
+    assert charpoly_oracle([[7]]) == 7 - X
+    assert charpoly_oracle([[-(2**90)]]) == -(2**90) - X
+
+
+def test_charpoly_needing_several_primes(rng):
+    # coefficients beyond 2^62 cannot be recovered from one 31-bit prime
+    m = [[rng.randint(-(2**40), 2**40) for _ in range(4)] for _ in range(4)]
+    p = charpoly_oracle(m)
+    assert max(abs(c) for c in p.coeffs) > 2**62
+    assert p == det_exact(char_matrix(m))
+
+
+def test_charpoly_interpolates_bareiss_determinants(rng):
+    # at n = 30 the modular dot products have enough terms to overflow int64
+    # unless they are split; degree n plus agreement at n + 1 points pins p
+    n = 30
+    m = exact_matrix(random_matrix(rng, n, -5, 5))
+    p = charpoly_oracle(m)
+    assert p.degree == n
+    for t in range(-n // 2, n // 2 + 1):
+        assert p(t) == det_exact(m - t * identity_matrix(n))
+
+
+def test_charpoly_rejects_non_integer_and_oversized_input(monkeypatch):
+    with pytest.raises(TypeError):
+        charpoly_oracle([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(ValueError):
+        charpoly_oracle(zeros_matrix(0))
+    # the real limit is 2^16; a 2^16-dimensional input is too large to build here
+    monkeypatch.setattr(linalg, "_MAX_ORACLE_DIM", 3)
+    assert charpoly_oracle(identity_matrix(2)) == (1 - X) ** 2
+    with pytest.raises(ValueError):
+        charpoly_oracle(identity_matrix(3))
 
 
 def test_monic_conversion():

@@ -65,6 +65,26 @@ def test_verify_instance_larger_cases():
         assert report.passed(), report.coefficient_diffs
 
 
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_vieta_trace_reads_the_closed_cubic(shift, monkeypatch):
+    from seidelspectra import verify
+
+    real = verify.charpoly_closed
+
+    def perturbed(params):
+        fac = real(params)
+        c0, c1, c2, c3 = fac.cubic
+        return fac._replace(cubic=(c0, c1, c2 + shift, c3))
+
+    params = make_params(4, 2, 3)
+    assert verify_instance(params).invariant_results.vieta_trace
+    monkeypatch.setattr(verify, "charpoly_closed", perturbed)
+    report = verify_instance(params)
+    assert not report.invariant_results.vieta_trace
+    assert report.invariant_results.trace_zero
+    assert not report.passed()
+
+
 def test_report_passed_thresholds():
     good = InvariantResults(True, True, True, True)
     r = VerificationReport(make_params(2, 1, 2), True, (), 0.5, good, 0.0)
