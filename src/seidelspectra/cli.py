@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -46,6 +47,11 @@ def _json_value(value: object, tol: float) -> object:
     if isinstance(value, CubicRoot):
         return float(f"{value.approx(tol):.12g}")
     return float(f"{float(value):.12g}")
+
+
+def _json_deviation(value: float) -> float | None:
+    """A deviation for JSON output; null when it is not finite, as JSON has no inf."""
+    return float(f"{value:.12g}") if math.isfinite(value) else None
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -111,19 +117,19 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
     report = verify_instance(params, args.tol)
-    spectrum = spectrum_closed(params, args.tol)
+    eigenvalues = report.spectrum.entries if report.spectrum is not None else ()
     ok = report.passed(args.tol)
     if args.format == "json":
         payload = {
             "params": {"h": params.h, "p": params.p, "k": params.k, "n": params.n},
             "charpoly_exact_match": report.charpoly_exact_match,
             "coefficient_diffs": [list(d) for d in report.coefficient_diffs],
-            "spectrum_max_deviation": float(f"{report.spectrum_max_deviation:.12g}"),
+            "spectrum_max_deviation": _json_deviation(report.spectrum_max_deviation),
             "invariants": dict(zip(report.invariant_results._fields,
                                    report.invariant_results)),
             "eigenvalues": [
                 {"value": _json_value(v, args.tol), "multiplicity": m}
-                for v, m in spectrum.entries
+                for v, m in eigenvalues
             ],
             "notes": list(discrepancy_notes()),
         }
@@ -134,7 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for deg, closed, oracle in report.coefficient_diffs:
         print(f"  degree {deg}: closed form {closed} vs oracle {oracle}")
     print("eigenvalues (closed form):")
-    for value, mult in spectrum.entries:
+    for value, mult in eigenvalues:
         print(f"  {_fmt_value(value, args.tol)}  x{mult}")
     print(f"max numeric deviation: {report.spectrum_max_deviation:.3e}")
     flags = " ".join(
@@ -171,7 +177,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "k": r.params.k,
                 "n": r.params.n,
                 "exact_match": r.charpoly_exact_match,
-                "max_dev": float(f"{r.spectrum_max_deviation:.12g}"),
+                "max_dev": _json_deviation(r.spectrum_max_deviation),
                 "elapsed_ms": r.elapsed * 1000.0,
             }
             for r in summary.reports

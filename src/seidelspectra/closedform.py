@@ -17,7 +17,7 @@ from .errors import DegenerateFamily, UnsupportedShape
 from . import cubic
 from .family import FamilyParams
 from .linalg import Matrix, assemble_blocks, ones_matrix, zeros_matrix
-from .polynomial import UniPoly, X
+from .polynomial import UniPoly, X, _exact
 
 ExactValue = Union[int, Fraction]
 
@@ -36,11 +36,6 @@ __all__ = [
     "charpoly_closed",
     "spectrum_closed",
 ]
-
-
-def _exact(value: int | Fraction) -> ExactValue:
-    f = Fraction(value)
-    return int(f) if f.denominator == 1 else f
 
 
 class ScalarMatrixSpec(NamedTuple):

@@ -18,14 +18,14 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ComplexRoots, DegenerateLeading, InternalError
+from .polynomial import _exact
 
 RootValue = Union[int, Fraction, float]
 
 __all__ = ["cubic_discriminant", "cubic_root_values", "cubic_roots"]
 
-
-def _normalize(value: Fraction) -> int | Fraction:
-    return int(value) if value.denominator == 1 else value
+#: Distinct integer cubics whose roots are kept between calls.
+_SOLVE_CACHE_SIZE = 1024
 
 
 def cubic_discriminant(coeffs: Sequence[int | Fraction]) -> int | Fraction:
@@ -38,10 +38,12 @@ def cubic_discriminant(coeffs: Sequence[int | Fraction]) -> int | Fraction:
         - 4 * c3 * c1**3
         - 27 * c3**2 * c0**2
     )
-    return _normalize(disc)
+    return _exact(disc)
 
 
 def _clear_denominators(coeffs: Sequence[int | Fraction]) -> list[int]:
+    if all(isinstance(c, int) for c in coeffs):
+        return list(coeffs)
     fracs = [Fraction(c) for c in coeffs]
     scale = math.lcm(*(f.denominator for f in fracs))
     return [int(f * scale) for f in fracs]
@@ -125,7 +127,7 @@ def _newton_polish(ints: Sequence[int], x: float) -> float:
     return x
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SOLVE_CACHE_SIZE)
 def _solve_cached(ints: tuple[int, ...]) -> tuple[RootValue, ...]:
     disc = cubic_discriminant(ints)
     if disc < 0:
@@ -139,10 +141,10 @@ def _solve_cached(ints: tuple[int, ...]) -> tuple[RootValue, ...]:
         rational = _one_rational_root(current)
         if rational is None:
             break
-        roots.append(_normalize(rational))
+        roots.append(_exact(rational))
         current = _deflate(current, rational)
     if len(current) == 2:
-        roots.append(_normalize(Fraction(-current[0], current[1])))
+        roots.append(_exact(Fraction(-current[0], current[1])))
         current = current[1:]
     if len(current) == 3:
         a0, a1, a2 = current

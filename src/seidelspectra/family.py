@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DegenerateFamily, InvalidParams
-from .linalg import Matrix, identity_matrix, ones_matrix, zeros_matrix
+from .linalg import Matrix
 
 __all__ = [
     "FamilyParams",
@@ -86,32 +88,43 @@ def clique_vertices(params: FamilyParams, j: int) -> tuple[int, ...]:
     return tuple(sorted([*common, *private]))
 
 
+def _block_matrix(params: FamilyParams, inside: int, outside: int) -> Matrix:
+    """int64 matrix, zero diagonal: ``inside`` within a clique, ``outside`` elsewhere.
+
+    Filled by block slicing in the fixed vertex order: private blocks,
+    their coupling to the hub's common slice, the hub, then the diagonal.
+    """
+    h, p, k, n = params
+    hub = (k - 1) * p
+    common = slice(hub, n - p)
+    out = np.full((n, n), outside, dtype=np.int64)
+    block = np.arange(hub) // p
+    out[:hub, :hub][block[:, None] == block] = inside
+    out[:hub, common] = inside
+    out[common, :hub] = inside
+    out[hub:, hub:] = inside
+    np.fill_diagonal(out, 0)
+    return out
+
+
 def adjacency_matrix(params: FamilyParams) -> Matrix:
-    """0/1 adjacency matrix of the union of the k overlapping cliques.
+    """0/1 adjacency matrix of the union of the k overlapping cliques, as int64.
 
     Block structure under the fixed ordering: k-1 diagonal K_p blocks for
     the private vertices, zero blocks between different cliques' private
     vertices, all-ones coupling of each private block to the common
     columns of the hub block, and one K_h block for the hub.
     """
-    a = zeros_matrix(params.n)
-    for j in range(1, params.k + 1):
-        members = clique_vertices(params, j)
-        for u in members:
-            for v in members:
-                if u != v:
-                    a[u, v] = 1
-    return a
+    return _block_matrix(params, 1, 0)
 
 
 def seidel_matrix(params: FamilyParams) -> Matrix:
-    """S = J - I - 2*A: zero diagonal, -1 on edges of the union, +1 elsewhere."""
-    n = params.n
-    return ones_matrix(n) - identity_matrix(n) - 2 * adjacency_matrix(params)
+    """S = J - I - 2*A in int64: zero diagonal, -1 on edges of the union, +1 elsewhere."""
+    return _block_matrix(params, -1, 1)
 
 
 def x_prime_matrix(params: FamilyParams) -> Matrix:
-    """The (k-1)p x h coupling block of the Seidel matrix.
+    """The (k-1)p x h int64 coupling block of the Seidel matrix.
 
     Rows are identical: -1 in the h-p common-clique columns (those pairs
     are negative edges), +1 in the p columns of clique k's private
@@ -120,11 +133,8 @@ def x_prime_matrix(params: FamilyParams) -> Matrix:
     """
     if params.k < 2:
         raise DegenerateFamily(f"k = {params.k}: no coupling block exists for k < 2")
-    rows = (params.k - 1) * params.p
-    out = zeros_matrix(rows, params.h)
-    for i in range(rows):
-        for j in range(params.h):
-            out[i, j] = -1 if j < params.h - params.p else 1
+    out = np.ones(((params.k - 1) * params.p, params.h), dtype=np.int64)
+    out[:, : params.h - params.p] = -1
     return out
 
 
@@ -135,9 +145,6 @@ def x_prime_row_sum(params: FamilyParams) -> int:
 
 def signed_edges(params: FamilyParams) -> tuple[tuple[int, int, int], ...]:
     """All unordered pairs (i, j, sign) with i < j; sign -1 on clique edges."""
-    a = adjacency_matrix(params)
-    return tuple(
-        (i, j, -1 if a[i, j] == 1 else 1)
-        for i in range(params.n)
-        for j in range(i + 1, params.n)
-    )
+    rows, cols = np.triu_indices(params.n, 1)
+    signs = seidel_matrix(params)[rows, cols]
+    return tuple(zip(rows.tolist(), cols.tolist(), signs.tolist()))

@@ -1,16 +1,20 @@
-"""Exact dense linear algebra on numpy object arrays.
+"""Exact dense linear algebra on numpy arrays.
 
-Matrix entries are Python ints, ``fractions.Fraction`` values, or
-:class:`~seidelspectra.polynomial.UniPoly`; nothing in this module touches
-floating point.  Bareiss elimination gives integer determinants,
-Gauss-Jordan over Fraction gives inverses, and cofactor expansion gives
-adjugates and polynomial-entried determinants.  Characteristic
-polynomials of integer matrices come from a multimodular method: upper
-Hessenberg reduction modulo 31-bit primes in int64 numpy arithmetic, the
-Hessenberg recurrence for det(x*I - H) mod p, and Chinese remaindering up
-to a proven Hadamard bound on the coefficients (Cohen, *A Course in
-Computational Algebraic Number Theory*, Alg. 2.2.9; Dumas, Pernet and
-Wan, ISSAC 2005).
+Integer matrices that fit in 64 bits, such as the family's Seidel
+matrices, are signed int64 arrays, which :func:`charpoly_oracle` and
+:func:`trace_exact` take after a dtype check alone.  Other matrices are
+object arrays of Python ints, ``fractions.Fraction`` values or
+:class:`~seidelspectra.polynomial.UniPoly`, made by :func:`exact_matrix`
+where big-int, rational or polynomial arithmetic needs them; nothing in
+this module touches floating point.  Bareiss elimination gives integer
+determinants, Gauss-Jordan over Fraction gives inverses, and cofactor
+expansion gives adjugates and polynomial-entried determinants.
+Characteristic polynomials of integer matrices come from a multimodular
+method: upper Hessenberg reduction modulo 31-bit primes in int64 numpy
+arithmetic, the Hessenberg recurrence for det(x*I - H) mod p, and Chinese
+remaindering up to a proven Hadamard bound on the coefficients (Cohen,
+*A Course in Computational Algebraic Number Theory*, Alg. 2.2.9; Dumas,
+Pernet and Wan, ISSAC 2005).
 
 Characteristic polynomial convention: :func:`charpoly_oracle` returns
 det(M - x*I), whose leading coefficient is (-1)^n.  Use
@@ -26,9 +30,11 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InternalError, SingularBlock, SingularInput
-from .polynomial import UniPoly, X
+from .polynomial import UniPoly, X, _exact
 
-#: Matrices in this package are numpy arrays with dtype=object and exact entries.
+#: Matrices in this package are 2-d numpy arrays: signed int64 for integer
+#: matrices built from the family's block layout, dtype=object with exact
+#: entries everywhere else.
 Matrix = np.ndarray
 
 #: Exact rational scalar: always reduced, positive denominator, value equality.
@@ -59,12 +65,10 @@ __all__ = [
 
 
 def _exact_entry(value: object) -> Entry:
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return int(value)  # bool and np.bool_ become 0 or 1
     if isinstance(value, (UniPoly, Fraction)):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
     raise TypeError(
         f"matrix entries must be int, Fraction, or UniPoly, got {type(value).__name__}"
     )
@@ -81,11 +85,14 @@ def exact_matrix(rows: object) -> Matrix:
     arr = np.asarray(rows, dtype=object)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got array of shape {arr.shape}")
-    out = np.empty(arr.shape, dtype=object)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            out[i, j] = _exact_entry(arr[i, j])
-    return out
+    return np.frompyfunc(_exact_entry, 1, 1)(arr)
+
+
+def _checked_matrix(m: object) -> Matrix:
+    """m itself when it is a signed-integer array, else :func:`exact_matrix` of m."""
+    if isinstance(m, np.ndarray) and m.dtype.kind == "i":
+        return m
+    return exact_matrix(m)
 
 
 def zeros_matrix(rows: int, cols: int | None = None) -> Matrix:
@@ -136,24 +143,16 @@ def char_matrix(m: object) -> Matrix:
 
 
 def trace_exact(m: object) -> Entry:
-    a = exact_matrix(m)
+    """Exact sum of the diagonal; a signed-integer array is read only there."""
+    a = _checked_matrix(m)
     _require_square(a, "trace")
-    total: Entry = 0
-    for i in range(a.shape[0]):
-        total = total + a[i, i]
-    return total
+    return sum(np.diagonal(a).tolist(), 0)
 
 
 def _require_square(a: Matrix, what: str) -> int:
-    if a.shape[0] != a.shape[1]:
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} needs a square matrix, got shape {a.shape}")
     return a.shape[0]
-
-
-def _normalize_rat(value: Entry) -> Entry:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return int(value)
-    return value
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -236,7 +235,7 @@ def det_exact(m: object) -> Entry:
     if any(isinstance(e, UniPoly) for e in flat):
         return _det_ring(entries)
     if any(isinstance(e, Fraction) for e in flat):
-        return _normalize_rat(_det_rational([[Fraction(e) for e in row] for row in entries]))
+        return _exact(_det_rational([[Fraction(e) for e in row] for row in entries]))
     return _det_bareiss(entries)
 
 
@@ -341,6 +340,24 @@ def _charpoly_hessenberg_mod(h: np.ndarray, prime: int) -> np.ndarray:
     return polys[n]
 
 
+def _integer_matrix(m: object) -> Matrix:
+    """m as a square int64 array, or as an object array of Python ints.
+
+    Signed-integer arrays pass on a dtype check alone.  Other input goes
+    through :func:`exact_matrix` and stays Python ints when an entry does
+    not fit int64 (uint64 from 2^63 up, large Python ints): nothing wraps.
+    """
+    a = _checked_matrix(m)
+    if a.dtype.kind == "i":
+        a = a.astype(np.int64, copy=False)
+    elif not all(isinstance(e, int) for e in a.flat):
+        raise TypeError("charpoly_oracle expects integer entries")
+    elif all(-(1 << 63) <= e < 1 << 63 for e in a.flat):
+        a = a.astype(np.int64)
+    _require_square(a, "characteristic polynomial")
+    return a
+
+
 def _coefficient_bound(a: Matrix) -> int:
     """B = prod over rows of (1 + ceil(||row||_2)), exact on Python ints.
 
@@ -350,7 +367,7 @@ def _coefficient_bound(a: Matrix) -> int:
     every coefficient is at most e_i(r_1, .., r_n) <= prod (1 + r_j) <= B.
     """
     bound = 1
-    for row in a:
+    for row in a.tolist():
         squares = sum(e * e for e in row)
         root = math.isqrt(squares)
         bound *= 1 + root + (root * root < squares)
@@ -373,30 +390,24 @@ def charpoly_oracle(m: object) -> UniPoly:
 
     Deliberately independent of every closed form in this package, which
     is what makes it usable as an oracle: it sees only the matrix entries.
-    Raises TypeError for non-integer entries and ValueError for dimension
-    0 or at least 2^16.
+    A signed-integer array is used as it is; any other input is checked
+    entry by entry.  Raises TypeError for non-integer entries and
+    ValueError for dimension 0 or at least 2^16.
     """
-    a = exact_matrix(m)
-    n = _require_square(a, "characteristic polynomial")
+    a = _integer_matrix(m)
+    n = a.shape[0]
     if n == 0:
         raise ValueError("characteristic polynomial needs dimension >= 1")
     if n >= _MAX_ORACLE_DIM:
         raise ValueError(
             f"charpoly_oracle supports dimension below {_MAX_ORACLE_DIM}, got {n}"
         )
-    for i in range(n):
-        for j in range(n):
-            if not isinstance(a[i, j], int):
-                raise TypeError("charpoly_oracle expects integer entries")
-    try:
-        wide = a.astype(np.int64)
-    except OverflowError:
-        wide = a  # entries beyond int64 are reduced as Python ints
     bound = _coefficient_bound(a)
     coeffs = [0] * (n + 1)
     modulus = 1
     for prime in _primes_below_2_31():
-        reduced = (wide % prime).astype(np.int64, copy=False)
+        # object entries beyond int64 are reduced as Python ints
+        reduced = (a % prime).astype(np.int64, copy=False)
         residues = _charpoly_hessenberg_mod(_hessenberg_mod(reduced, prime), prime)
         # Garner step: lift each coefficient from mod modulus to mod modulus*prime
         lift = pow(modulus, -1, prime)
@@ -478,7 +489,7 @@ def inverse_exact(m: object) -> Matrix:
     out = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            out[i, j] = _normalize_rat(rows[i][n + j])
+            out[i, j] = _exact(rows[i][n + j])
     return out
 
 
@@ -524,7 +535,7 @@ def schur_block_det(A: object, B: object, C: object, D: object) -> Entry:
     if na == 0:
         return det_d
     schur = A - B @ inverse_exact(D) @ C
-    return _normalize_rat(Fraction(det_d) * Fraction(det_exact(schur)))
+    return _exact(Fraction(det_d) * Fraction(det_exact(schur)))
 
 
 def schur_block_det_adjugate(A: object, B: object, C: object, D: object) -> Entry:
@@ -553,4 +564,4 @@ def schur_block_det_adjugate(A: object, B: object, C: object, D: object) -> Entr
                 f"adjugate-route division not exact: {value} / {divisor}"
             )
         return quot
-    return _normalize_rat(Fraction(value) / Fraction(divisor))
+    return _exact(Fraction(value) / Fraction(divisor))

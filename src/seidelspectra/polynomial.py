@@ -90,7 +90,7 @@ class UniPoly:
 
     def __rsub__(self, other: Scalar) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            return _as_poly(other) + (-self)
+            return constant(other) + (-self)
         return NotImplemented
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
@@ -148,13 +148,15 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)!r})"
 
 
-def _as_poly(value: Scalar) -> UniPoly:
-    return UniPoly((value,))
-
-
 def constant(value: Scalar) -> UniPoly:
     """The constant polynomial with the given value."""
     return UniPoly((value,))
+
+
+def _exact(value: Scalar) -> Scalar:
+    """The value as an int when it is integral, else as a reduced Fraction."""
+    f = Fraction(value)
+    return f.numerator if f.denominator == 1 else f
 
 
 #: The variable itself, for building polynomials expression-style.

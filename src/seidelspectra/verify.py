@@ -13,11 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, NotSymmetric
+from .errors import ComplexRoots, DegenerateLeading, InvalidParams, NotSymmetric
 from .cubic import cubic_roots
-from .closedform import charpoly_closed, spectrum_closed
+from .closedform import Spectrum, charpoly_closed, spectrum_closed
 from .family import FamilyParams, make_params, seidel_matrix
-from .linalg import charpoly_oracle, exact_matrix, trace_exact
+from .linalg import _checked_matrix, charpoly_oracle, trace_exact
 
 __all__ = [
     "InvariantResults",
@@ -52,6 +52,8 @@ class VerificationReport(NamedTuple):
     spectrum_max_deviation: float
     invariant_results: InvariantResults
     elapsed: float
+    #: closed-form spectrum; None when its cubic has no three real roots
+    spectrum: Spectrum | None = None
 
     def passed(self, tol: float = 1e-9) -> bool:
         return (
@@ -74,24 +76,25 @@ class SweepSummary(NamedTuple):
 def eig_numeric(m: object, tol: float = 1e-9) -> tuple[float, ...]:
     """All eigenvalues of an exactly symmetric matrix, sorted descending.
 
-    Input symmetry is checked entry-for-entry before any rounding.  The
-    numeric path is advisory (the exact path is authoritative), so a
-    standard dense symmetric solver is enough; ``tol`` documents the
-    accuracy callers should rely on and is far above what the solver
-    delivers at these sizes.
+    Signed-integer arrays are used as they are; other input goes through
+    ``exact_matrix`` once, which rejects floats.  Symmetry is checked
+    exactly, before any rounding.  The numeric path is advisory (the exact
+    path is authoritative), so a standard dense symmetric solver is enough;
+    ``tol`` documents the accuracy callers should rely on and is far above
+    what the solver delivers at these sizes.
     """
-    a = exact_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = _checked_matrix(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix is not square: shape {a.shape}")
-    for i in range(a.shape[0]):
-        for j in range(i + 1, a.shape[1]):
-            if a[i, j] != a[j, i]:
-                raise NotSymmetric(
-                    f"entry ({i},{j}) = {a[i, j]} differs from ({j},{i}) = {a[j, i]}"
-                )
-    dense = np.array([[float(x) for x in row] for row in a], dtype=float)
-    values = np.linalg.eigvalsh(dense)
-    return tuple(sorted((float(v) for v in values), reverse=True))
+    asymmetric = np.argwhere(a != a.T)
+    if asymmetric.size:
+        # the first offending entry in row order lies above the diagonal
+        i, j = asymmetric[0].tolist()
+        raise NotSymmetric(
+            f"entry ({i},{j}) = {a[i, j]} differs from ({j},{i}) = {a[j, i]}"
+        )
+    values = np.linalg.eigvalsh(a.astype(float))
+    return tuple(sorted(values.tolist(), reverse=True))
 
 
 def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationReport:
@@ -109,10 +112,13 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
         if closed.coeff(deg) != oracle.coeff(deg)
     )
     numeric = eig_numeric(seidel, tol)
-    predicted = spectrum_closed(params, tol).approx(tol)
-    max_dev = max(
-        (abs(a - b) for a, b in zip(predicted, numeric)), default=0.0
-    )
+    try:
+        spectrum = spectrum_closed(params, tol)
+        deviations = [abs(a - b) for a, b in zip(spectrum.approx(tol), numeric)]
+        max_dev = max(deviations, default=0.0)
+    except (ComplexRoots, DegenerateLeading):
+        # such a cubic is no symmetric matrix's spectrum: the referee rejects it
+        spectrum, max_dev = None, float("inf")
 
     sum_sq_coeff = (-1) ** n * (-(n * (n - 1)) // 2)
     trace = trace_exact(seidel)
@@ -135,6 +141,7 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
         spectrum_max_deviation=float(max_dev),
         invariant_results=invariants,
         elapsed=time.perf_counter() - start,
+        spectrum=spectrum,
     )
 
 

@@ -266,3 +266,57 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_verify_solves_the_closed_form_once(capsys, monkeypatch):
+    from seidelspectra import cli, verify
+
+    calls = []
+
+    def counted(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "spectrum_closed", counted(cli.spectrum_closed))
+    monkeypatch.setattr(verify, "spectrum_closed", counted(verify.spectrum_closed))
+    assert main(["verify", "--h", "5", "--p", "2", "--k", "4"]) == 0
+    assert len(calls) == 1
+    assert "eigenvalues (closed form):" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_verify_reports_a_closed_cubic_without_real_roots(fmt, capsys, monkeypatch):
+    from seidelspectra import closedform
+
+    real = closedform.cubic_s
+
+    def moved(params):
+        c0, c1, c2, c3 = real(params)
+        return c0, c1, c2, c3 + 1  # leading coefficient 0: no cubic left to solve
+
+    monkeypatch.setattr(closedform, "cubic_s", moved)
+    code = main(["verify", "--h", "3", "--p", "1", "--k", "2", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 1
+    if fmt == "json":
+        payload = _strict_json(out)
+        assert payload["charpoly_exact_match"] is False
+        assert payload["coefficient_diffs"][0] == [3, 1, 0]
+        assert payload["spectrum_max_deviation"] is None
+        assert payload["eigenvalues"] == []
+        assert main(["sweep", "--h-max", "3", "--k-max", "2", "--format", "json"]) == 1
+        rows = _strict_json(capsys.readouterr().out)
+        assert rows and all(r["max_dev"] is None for r in rows)
+    else:
+        assert "charpoly exact match: no" in out
+        assert "degree 3: closed form 1 vs oracle 0" in out
+        assert "max numeric deviation: inf" in out
+
+
+def _strict_json(text):
+    """json.loads that rejects Infinity and NaN, which RFC 8259 does not allow."""
+    def reject(token):
+        raise ValueError(f"not valid JSON: {token}")
+    return json.loads(text, parse_constant=reject)

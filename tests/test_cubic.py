@@ -110,3 +110,12 @@ def test_moved_root_is_rejected(monkeypatch):
                         lambda ints: (good[0], 0, good[2]))
     with pytest.raises(InternalError):
         cubic_root_values(coeffs)
+
+
+def test_integer_coefficients_skip_fractions_and_the_cache_is_bounded(monkeypatch):
+    mixed = [Fraction(1, 2), 1, 0, Fraction(-1, 3)]
+    assert cubic._clear_denominators(mixed) == [3, 6, 0, -2]
+    monkeypatch.setattr(cubic, "Fraction", None)  # any use of Fraction now raises
+    ints = [5, 5, -1, -1]
+    assert cubic._clear_denominators(ints) == ints
+    assert cubic._solve_cached.cache_info().maxsize == cubic._SOLVE_CACHE_SIZE

@@ -187,3 +187,20 @@ def test_signed_edges():
     assert (0, 3) not in negatives
     star = signed_edges(make_params(2, 1, 3))
     assert [(i, j) for i, j, s in star if s == -1] == [(0, 2), (1, 2), (2, 3)]
+
+
+def test_int64_matrices_match_the_clique_union_definition():
+    for params in grid():
+        n = params.n
+        adjacency = np.zeros((n, n), dtype=np.int64)
+        for j in range(1, params.k + 1):
+            members = list(clique_vertices(params, j))
+            adjacency[np.ix_(members, members)] = 1
+        np.fill_diagonal(adjacency, 0)
+        a = adjacency_matrix(params)
+        s = seidel_matrix(params)
+        assert a.dtype == s.dtype == np.int64
+        assert np.array_equal(a, adjacency)
+        definition = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64) - 2 * adjacency
+        assert np.array_equal(s, definition)
+    assert x_prime_matrix(make_params(4, 1, 3)).dtype == np.int64

@@ -350,3 +350,28 @@ def test_block_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         schur_block_det(identity_matrix(2), zeros_matrix(2, 1),
                         zeros_matrix(1, 1), identity_matrix(1))
+
+
+def test_charpoly_same_on_int64_object_and_wide_uint64():
+    s = [[0, -1, 1, 2], [-1, 0, 3, -1], [1, 3, 0, 1], [2, -1, 1, 5]]
+    as_int64 = charpoly_oracle(np.array(s, dtype=np.int64))
+    assert as_int64 == charpoly_oracle(np.array(s, dtype=object))
+    assert as_int64 == charpoly_oracle(np.array(s, dtype=np.int8))
+    assert as_int64 == det_exact(char_matrix(s))
+    # an entry of 2^63 and up would wrap to a negative int64
+    wide = [[2**63 + 5, 1], [3, 2**64 - 1]]
+    expected = det_exact(char_matrix(wide))
+    assert charpoly_oracle(np.array(wide, dtype=np.uint64)) == expected
+    assert charpoly_oracle(np.array(wide, dtype=object)) == expected
+    # int64 entries whose squares overflow still give an exact bound
+    extreme = np.array([[-(2**63), 2**62], [2**62, 2**63 - 1]], dtype=np.int64)
+    assert charpoly_oracle(extreme) == det_exact(char_matrix(extreme.tolist()))
+
+
+def test_trace_reads_int64_and_exact_entries():
+    assert trace_exact(np.array([[2**62, 1], [0, 2**62]], dtype=np.int64)) == 2**63
+    assert trace_exact([[Fraction(1, 2), 0], [0, 2**70]]) == Fraction(1, 2) + 2**70
+    with pytest.raises(TypeError):
+        trace_exact(np.eye(2))
+    with pytest.raises(ValueError):
+        trace_exact([[1, 2, 3]])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from seidelspectra import cubic
@@ -152,3 +153,49 @@ def test_cubic_roots_reexport():
     assert cubic_roots is cubic.cubic_roots
     roots = cubic_roots((3, 5, 1, -1))
     assert roots == (3.0, -1.0, -1.0)
+
+
+def test_eig_numeric_int64_boundary():
+    a = np.array([[0, 1, 2], [1, 0, 3], [2, 4, 0]], dtype=np.int64)
+    with pytest.raises(NotSymmetric, match=r"entry \(1,2\) = 3 differs from \(2,1\) = 4"):
+        eig_numeric(a)
+    with pytest.raises(TypeError):
+        eig_numeric(np.zeros((3, 3)))
+    s = seidel_matrix(make_params(5, 2, 4))
+    assert eig_numeric(s) == eig_numeric(s.tolist())
+
+
+def test_verify_instance_copies_no_matrix(monkeypatch):
+    from seidelspectra import linalg
+
+    calls = []
+    real = linalg.exact_matrix
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "exact_matrix", counting)
+    assert verify_instance(make_params(20, 5, 7)).passed()
+    assert calls == []
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_sweep_catches_every_cubic_coefficient_moved_by_one(index, shift, monkeypatch):
+    from seidelspectra import closedform
+
+    real = closedform.cubic_s
+
+    def moved(params):
+        coeffs = list(real(params))
+        coeffs[index] += shift
+        return tuple(coeffs)
+
+    monkeypatch.setattr(closedform, "cubic_s", moved)
+    summary = sweep(4, 3)
+    assert summary.errors == () and summary.skipped == ()
+    assert len(summary.reports) == summary.failed == 18 and summary.passed == 0
+    for report in summary.reports:
+        assert not report.charpoly_exact_match
+        assert min(deg for deg, _, _ in report.coefficient_diffs) == index
