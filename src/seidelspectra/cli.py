@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .closedform import CubicRoot, charpoly_closed, cubic_s, spectrum_closed
 from .errors import DegenerateFamily, InvalidParams, UnsupportedShape
@@ -33,19 +32,15 @@ __all__ = [
 ]
 
 
-def _fmt_value(value: object, tol: float) -> str:
+def _fmt_value(value: object) -> str:
     if isinstance(value, CubicRoot):
-        return f"{value.approx(tol):.12g}"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+        return f"{float(value):.12g}"
+    return str(value)  # an int, or a Fraction as num/den
 
 
-def _json_value(value: object, tol: float) -> object:
+def _json_value(value: object) -> object:
     if isinstance(value, int):
         return value
-    if isinstance(value, CubicRoot):
-        return float(f"{value.approx(tol):.12g}")
     return float(f"{float(value):.12g}")
 
 
@@ -65,7 +60,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             "k": params.k,
             "n": params.n,
             "eigenvalues": [
-                {"value": _json_value(v, args.tol), "multiplicity": m}
+                {"value": _json_value(v), "multiplicity": m}
                 for v, m in spectrum.entries
             ],
             "cubic": list(coeffs),
@@ -75,7 +70,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     print(f"h={params.h} p={params.p} k={params.k} n={params.n}")
     print("eigenvalues:")
     for value, mult in spectrum.entries:
-        print(f"  {_fmt_value(value, args.tol)}  x{mult}")
+        print(f"  {_fmt_value(value)}  x{mult}")
     print(f"cubic coefficients (ascending): [{', '.join(str(c) for c in coeffs)}]")
     return 0
 
@@ -128,7 +123,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "invariants": dict(zip(report.invariant_results._fields,
                                    report.invariant_results)),
             "eigenvalues": [
-                {"value": _json_value(v, args.tol), "multiplicity": m}
+                {"value": _json_value(v), "multiplicity": m}
                 for v, m in eigenvalues
             ],
             "notes": list(discrepancy_notes()),
@@ -141,7 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"  degree {deg}: closed form {closed} vs oracle {oracle}")
     print("eigenvalues (closed form):")
     for value, mult in eigenvalues:
-        print(f"  {_fmt_value(value, args.tol)}  x{mult}")
+        print(f"  {_fmt_value(value)}  x{mult}")
     print(f"max numeric deviation: {report.spectrum_max_deviation:.3e}")
     flags = " ".join(
         f"{name}={'pass' if value else 'FAIL'}"

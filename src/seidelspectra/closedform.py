@@ -56,24 +56,20 @@ class ScalarMatrixSpec(NamedTuple):
 class CubicRoot(NamedTuple):
     """One irrational root of an integer cubic, carried symbolically.
 
-    ``index`` selects a root in descending order; the numeric value only
-    exists once :meth:`approx` is called, so exact reports stay exact.
+    ``index`` selects a root in descending order and ``value`` is its float
+    as the solver certified it; ``float()`` reads that value, so nothing
+    solves the cubic again.
     """
 
     coeffs: tuple[int, int, int, int]
     index: int
+    value: float
 
-    def approx(self, tol: float = 1e-9) -> float:
-        return cubic.cubic_roots(self.coeffs, tol)[self.index]
+    def __float__(self) -> float:
+        return self.value
 
 
 SpectrumValue = Union[int, Fraction, CubicRoot]
-
-
-def _value_float(value: SpectrumValue, tol: float) -> float:
-    if isinstance(value, CubicRoot):
-        return value.approx(tol)
-    return float(value)
 
 
 class Spectrum(NamedTuple):
@@ -85,11 +81,11 @@ class Spectrum(NamedTuple):
     def dimension(self) -> int:
         return sum(mult for _, mult in self.entries)
 
-    def approx(self, tol: float = 1e-9) -> tuple[float, ...]:
+    def approx(self) -> tuple[float, ...]:
         """The full multiset as floats, descending, one entry per eigenvalue."""
         out: list[float] = []
         for value, mult in self.entries:
-            out.extend([_value_float(value, tol)] * mult)
+            out.extend([float(value)] * mult)
         return tuple(sorted(out, reverse=True))
 
 
@@ -113,7 +109,7 @@ def _canonical_spectrum(
             continue
         host = None
         if tol > 0:
-            x = value.approx(tol)
+            x = float(value)
             host = next(
                 (v for v in merged if not isinstance(v, CubicRoot)
                  and abs(float(v) - x) <= tol),
@@ -123,10 +119,7 @@ def _canonical_spectrum(
             merged[value] = merged.get(value, 0) + mult
         else:
             merged[host] += mult
-    ordered = sorted(
-        merged.items(), key=lambda item: _value_float(item[0], max(tol, 1e-9)),
-        reverse=True,
-    )
+    ordered = sorted(merged.items(), key=lambda item: float(item[0]), reverse=True)
     return Spectrum(tuple(ordered))
 
 
@@ -289,17 +282,23 @@ def spectrum_closed(params: FamilyParams, tol: float = 1e-9) -> Spectrum:
 
     Rational cubic roots come back exact and merge exactly with the linear
     factors' eigenvalues; irrational roots are carried as CubicRoot
-    descriptors and merge with a rational eigenvalue only when closer
-    than ``tol``.
+    descriptors with their certified floats and merge with a rational
+    eigenvalue only when closer than ``tol``.  The cubic is solved once.
+    Raises UnsupportedShape when an eigenvalue is beyond the float range.
     """
     fac = charpoly_closed(params)
     entries: list[tuple[SpectrumValue, int]] = [
         (fac.root1, fac.e1),
         (fac.root2, fac.e2),
     ]
-    for index, value in enumerate(cubic.cubic_root_values(fac.cubic, tol)):
-        if isinstance(value, float):
-            entries.append((CubicRoot(fac.cubic, index), 1))
-        else:
+    try:
+        for index, value in enumerate(cubic.cubic_root_values(fac.cubic, tol)):
+            if isinstance(value, float):
+                value = CubicRoot(fac.cubic, index, value)
             entries.append((value, 1))
-    return _canonical_spectrum(entries, tol)
+        # ordering the spectrum takes every eigenvalue's float
+        return _canonical_spectrum(entries, tol)
+    except OverflowError:
+        raise UnsupportedShape(
+            f"an eigenvalue for params {params} is beyond the float range"
+        ) from None

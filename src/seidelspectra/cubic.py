@@ -1,11 +1,15 @@
-"""Real roots of cubics with exact integer preprocessing.
+"""Real roots of cubics in exact integer arithmetic.
 
 The cubics of interest come from symmetric matrices, so all three roots
 are real; the solver checks that claim through the exact discriminant
-rather than assuming it.  Rational roots are peeled off exactly (for
-integer-coefficient cubics they are found by divisor trial), and only the
-genuinely irrational leftovers go through floating point, polished by
-Newton iteration against the exact coefficients.
+rather than assuming it.  With y = c3*x an integer cubic s becomes the
+monic t(y) = c3^2 * s(y/c3), whose rational roots are integers.  Each root
+of t lies on a stretch where t is monotone, between the zeros of t' and
+the Cauchy bound, and exact integer bisection finds its floor: a floor
+that is a root gives the rational root, and otherwise bisection goes on
+over dyadic rationals until the bracket is below 2^-56 of the root, about
+1 ulp.  No float steers the search, and its cost grows with the bit
+length of the coefficients.
 """
 
 from __future__ import annotations
@@ -15,22 +19,24 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import ComplexRoots, DegenerateLeading, InternalError
 from .polynomial import _exact
 
 RootValue = Union[int, Fraction, float]
+Monic = tuple[int, int, int]  # (a0, a1, a2) of y^3 + a2*y^2 + a1*y + a0
 
 __all__ = ["cubic_discriminant", "cubic_root_values", "cubic_roots"]
 
 #: Distinct integer cubics whose roots are kept between calls.
 _SOLVE_CACHE_SIZE = 1024
+#: An irrational root is refined until its bracket is below 2^-56 of it.
+_FLOAT_BITS = 56
 
 
 def cubic_discriminant(coeffs: Sequence[int | Fraction]) -> int | Fraction:
     """Discriminant of c3*x^3 + c2*x^2 + c1*x + c0; >= 0 means all roots real."""
-    c0, c1, c2, c3 = (Fraction(c) for c in coeffs)
+    ints = all(isinstance(c, int) for c in coeffs)
+    c0, c1, c2, c3 = coeffs if ints else (Fraction(c) for c in coeffs)
     disc = (
         18 * c3 * c2 * c1 * c0
         - 4 * c2**3 * c0
@@ -38,7 +44,7 @@ def cubic_discriminant(coeffs: Sequence[int | Fraction]) -> int | Fraction:
         - 4 * c3 * c1**3
         - 27 * c3**2 * c0**2
     )
-    return _exact(disc)
+    return disc if ints else _exact(disc)
 
 
 def _clear_denominators(coeffs: Sequence[int | Fraction]) -> list[int]:
@@ -47,46 +53,6 @@ def _clear_denominators(coeffs: Sequence[int | Fraction]) -> list[int]:
     fracs = [Fraction(c) for c in coeffs]
     scale = math.lcm(*(f.denominator for f in fracs))
     return [int(f * scale) for f in fracs]
-
-
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    found = set()
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            found.add(d)
-            found.add(m // d)
-        d += 1
-    return sorted(found)
-
-
-def _eval_frac(ints: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
-def _one_rational_root(ints: Sequence[int]) -> Fraction | None:
-    if ints[0] == 0:
-        return Fraction(0)
-    for den in _divisors(ints[-1]):
-        for num in _divisors(ints[0]):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if _eval_frac(ints, cand) == 0:
-                    return cand
-    return None
-
-
-def _deflate(ints: Sequence[int], root: Fraction) -> list[int]:
-    """Divide by (x - root); the remainder is zero by construction."""
-    top = len(ints) - 1
-    quotient = [Fraction(ints[top])]
-    for i in range(top - 1, 0, -1):
-        quotient.append(ints[i] + root * quotient[-1])
-    quotient.reverse()
-    return _clear_denominators(quotient)
 
 
 def _scaled_value(ints: Sequence[int], x: RootValue) -> int:
@@ -105,61 +71,93 @@ def _scaled_value(ints: Sequence[int], x: RootValue) -> int:
     return acc
 
 
-def _horner_float(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _value(t: Monic, y: int) -> int:
+    a0, a1, a2 = t
+    return ((y + a2) * y + a1) * y + a0
 
 
-def _newton_polish(ints: Sequence[int], x: float) -> float:
-    poly = [float(c) for c in ints]
-    deriv = [i * float(c) for i, c in enumerate(ints)][1:]
-    for _ in range(60):
-        slope = _horner_float(deriv, x)
-        if slope == 0.0:
-            break
-        step = _horner_float(poly, x) / slope
-        nxt = x - step
-        if nxt == x:
-            break
-        x = nxt
-    return x
+def _stretches(t: Monic, bound: int) -> list[tuple[int, int, bool]]:
+    """The integers (lo, hi, rising) of the three stretches where t is monotone.
+
+    t' vanishes at (-a2 -+ sqrt(d0))/3 with d0 = a2^2 - 3*a1 >= 0 (zero
+    only for a triple root); the floors and ceilings of those points are
+    exact through math.isqrt.  ``bound`` exceeds every root's absolute
+    value.
+    """
+    _, a1, a2 = t
+    d0 = a2 * a2 - 3 * a1
+    low = math.isqrt(d0)
+    high = low + (low * low < d0)  # ceil(sqrt(d0))
+    return [
+        (-bound, (-a2 - high) // 3, True),
+        (-((a2 + low) // 3), (low - a2) // 3, False),
+        (-((a2 - high) // 3), bound, True),
+    ]
+
+
+def _root_floor(t: Monic, lo: int, hi: int, rising: bool) -> int:
+    """floor(r) for the root r of t whose floor lies in [lo - 1, hi].
+
+    t must be monotone over [lo, hi], rising or falling as given, so each
+    integer z there has z <= r exactly when t(z) has the sign t has
+    below r.  Bisection takes bit_length(hi - lo + 2) evaluations.
+    """
+    lo, hi = lo - 1, hi + 1  # lo is at most r, hi is above it
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        value = _value(t, mid)
+        if value == 0 or (value < 0) == rising:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _irrational_root(t: Monic, bound: int, index: int, floor: int, c3: int) -> float:
+    """The float of the irrational root of t on stretch ``index``, divided by c3.
+
+    The root lies in (F, F + 1) / 2^m, starting from m = 0 and F = floor.
+    Each round rescales to the monic t_m(z) = 2^(3m) t(z / 2^m), whose
+    stretches are t's times 2^m, and bisects for the next floor until the
+    bracket is below 2^-_FLOAT_BITS of the root; the float is the correctly
+    rounded midpoint, within about 1 ulp of the root.  Raises OverflowError
+    beyond the float range.
+    """
+    a0, a1, a2 = t
+    top, m = floor, 0
+    while abs(2 * top + 1) >> _FLOAT_BITS == 0:
+        shift = _FLOAT_BITS + 1 - abs(2 * top + 1).bit_length()
+        m += shift
+        scaled = (a0 << 3 * m, a1 << 2 * m, a2 << m)
+        lo, hi, rising = _stretches(scaled, bound << m)[index]
+        lo, hi = max(lo, top << shift), min(hi, ((top + 1) << shift) - 1)
+        top = _root_floor(scaled, lo, hi, rising)
+    return (2 * top + 1) / (c3 << (m + 1))
 
 
 @lru_cache(maxsize=_SOLVE_CACHE_SIZE)
 def _solve_cached(ints: tuple[int, ...]) -> tuple[RootValue, ...]:
+    c0, c1, c2, c3 = ints
     disc = cubic_discriminant(ints)
     if disc < 0:
         raise ComplexRoots(
             f"discriminant {disc} < 0: one real root and a complex pair, "
             "which a symmetric-matrix spectrum cannot produce"
         )
-    roots: list[RootValue] = []
-    current = list(ints)
-    while len(current) > 2:
-        rational = _one_rational_root(current)
-        if rational is None:
-            break
-        roots.append(_exact(rational))
-        current = _deflate(current, rational)
-    if len(current) == 2:
-        roots.append(_exact(Fraction(-current[0], current[1])))
-        current = current[1:]
-    if len(current) == 3:
-        a0, a1, a2 = current
-        quad_disc = a1 * a1 - 4 * a2 * a0
-        if quad_disc < 0:
-            raise ComplexRoots(f"quadratic factor discriminant {quad_disc} < 0")
-        sq = math.sqrt(quad_disc)
-        for sign in (1, -1):
-            roots.append(_newton_polish(ints, (-a1 + sign * sq) / (2 * a2)))
-    elif len(current) == 4:
-        # no rational root at all; disc >= 0 so all three are irrational reals
-        numeric = np.roots(list(reversed(current)))
-        roots.extend(_newton_polish(ints, float(z.real)) for z in numeric)
-    roots.sort(key=float, reverse=True)
-    return tuple(roots)
+    t = (c0 * c3 * c3, c1 * c3, c2)
+    bound = 1 + max(map(abs, t))
+    roots: list[int | float] = []  # integer roots of t, or floats of s's roots
+    for index, (lo, hi, rising) in enumerate(_stretches(t, bound)):
+        # a repeated root is a zero of t' too, so it ends two stretches and
+        # each of their bisections returns it
+        floor = _root_floor(t, lo, hi, rising)
+        # an integer root lies on its stretch; lo - 1 can be a neighbour's
+        rational = floor >= lo and _value(t, floor) == 0
+        roots.append(floor if rational else _irrational_root(t, bound, index, floor, c3))
+    values = [y if isinstance(y, float) else y // c3 if y % c3 == 0 else Fraction(y, c3)
+              for y in roots]
+    # roots of t ascend, so x = y/c3 descends exactly when c3 > 0
+    return tuple(reversed(values) if c3 > 0 else values)
 
 
 def cubic_root_values(
@@ -172,8 +170,9 @@ def cubic_root_values(
     it is returned: a rational root r satisfies s(r) = 0, and a float root
     r sees s change sign over [r - d, r + d] with d = tol * max(1, |r|).
     A failed certificate raises InternalError.  Raises ComplexRoots on a
-    negative discriminant and DegenerateLeading when the cubic coefficient
-    vanishes.
+    negative discriminant, DegenerateLeading when the cubic coefficient
+    vanishes, and OverflowError when an irrational root is beyond the
+    float range.
     """
     if len(coeffs) != 4:
         raise ValueError(f"expected 4 coefficients (ascending), got {len(coeffs)}")

@@ -10,7 +10,7 @@ class DegenerateFamily(ValueError):
 
 
 class UnsupportedShape(ValueError):
-    """Factored characteristic polynomial would need a negative exponent."""
+    """Factored form needs a negative exponent, or an eigenvalue is beyond float range."""
 
 
 class SingularInput(ZeroDivisionError):

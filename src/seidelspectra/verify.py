@@ -114,7 +114,7 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
     numeric = eig_numeric(seidel, tol)
     try:
         spectrum = spectrum_closed(params, tol)
-        deviations = [abs(a - b) for a, b in zip(spectrum.approx(tol), numeric)]
+        deviations = [abs(a - b) for a, b in zip(spectrum.approx(), numeric)]
         max_dev = max(deviations, default=0.0)
     except (ComplexRoots, DegenerateLeading):
         # such a cubic is no symmetric matrix's spectrum: the referee rejects it
@@ -122,12 +122,18 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
 
     sum_sq_coeff = (-1) ** n * (-(n * (n - 1)) // 2)
     trace = trace_exact(seidel)
-    _, _, c2, c3 = factored.cubic
+    # tr S^2 for symmetric S is the sum of its squared entries, on Python ints
+    trace_sq = sum(e * e for row in seidel.tolist() for e in row)
+    _, c1, c2, c3 = factored.cubic
+    linear_sq = (1 - 2 * p) ** 2 * (k - 2) + (n - k - 1)
     invariants = InvariantResults(
         trace_zero=trace == 0,
+        # the cubic's roots' squares sum to (c2^2 - 2*c1*c3)/c3^2; with the
+        # linear factors' squares they must give tr S^2
         sum_squares=(
             oracle.coeff(n - 2) == sum_sq_coeff
             and abs(sum(v * v for v in numeric) - n * (n - 1)) <= 1e-6
+            and c3 * c3 * (linear_sq - trace_sq) + c2 * c2 - 2 * c1 * c3 == 0
         ),
         degree=oracle.degree == n and closed.degree == n,
         # the cubic's roots sum to -c2/c3, the linear factors' eigenvalues

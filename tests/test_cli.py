@@ -286,6 +286,26 @@ def test_verify_solves_the_closed_form_once(capsys, monkeypatch):
     assert "eigenvalues (closed form):" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_one_cubic_solve_per_command(command, capsys, monkeypatch):
+    from seidelspectra import cubic
+
+    calls = []
+    real = cubic.cubic_root_values
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cubic, "cubic_root_values", counted)
+    for fmt in ("human", "json"):
+        calls.clear()
+        # (3, 1, 2) has two irrational cubic roots, printed in both formats
+        assert main([command, "--h", "3", "--p", "1", "--k", "2", "--format", fmt]) == 0
+        assert len(calls) == 1
+    assert "2.2360679775" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_verify_reports_a_closed_cubic_without_real_roots(fmt, capsys, monkeypatch):
     from seidelspectra import closedform

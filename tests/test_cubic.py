@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, strategies as st
 
 from seidelspectra import cubic
 from seidelspectra.cli import main
@@ -119,3 +121,135 @@ def test_integer_coefficients_skip_fractions_and_the_cache_is_bounded(monkeypatc
     ints = [5, 5, -1, -1]
     assert cubic._clear_denominators(ints) == ints
     assert cubic._solve_cached.cache_info().maxsize == cubic._SOLVE_CACHE_SIZE
+
+
+# (c3, denominators): the roots n_i/d_i of sign * prod(d_i x - n_i) make a
+# cubic with integer coefficients and leading coefficient c3
+_LEADS = [
+    (sign * math.prod(dens), dens)
+    for sign in (1, -1)
+    for dens in itertools.product((1, 2, 3, 6), repeat=3)
+    if math.prod(dens) in (1, 2, 6)
+]
+
+
+def _cubic_from_roots(scale, dens, nums):
+    poly = UniPoly((scale,))
+    for d, num in zip(dens, nums):
+        poly = poly * (d * X - num)
+    return tuple(poly.coeff(i) for i in range(4))
+
+
+@seed(20261018)
+@given(
+    st.sampled_from(_LEADS),
+    st.lists(st.integers(-2**100, 2**100), min_size=3, max_size=3),
+)
+def test_rational_roots_come_back_exact_property(lead, nums):
+    c3, dens = lead
+    coeffs = _cubic_from_roots(1 if c3 > 0 else -1, dens, nums)
+    assert coeffs[3] == c3
+    roots = sorted((Fraction(n, d) for n, d in zip(nums, dens)), reverse=True)
+    values = cubic_root_values(coeffs)
+    assert values == tuple(roots)
+    for value, root in zip(values, roots):
+        assert type(value) is (int if root.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("c3", [1, -1, 2, -6])
+def test_adjacent_integer_roots(c3):
+    coeffs = _cubic_from_roots(c3, (1, 1, 1), (18, 19, 25))
+    assert cubic_root_values(coeffs) == (25, 19, 18)
+
+
+def test_irrational_root_next_to_an_integer_root():
+    # sqrt(250001) = 500.000999999...; the integer root 500 shares its floor
+    poly = -1 * (X - 500) * (X**2 - 250001)
+    coeffs = tuple(poly.coeff(i) for i in range(4))
+    top, middle, bottom = cubic_root_values(coeffs)
+    assert middle == 500 and isinstance(middle, int)
+    ulp = math.ulp(math.sqrt(250001))
+    assert abs(top - math.sqrt(250001)) <= ulp and abs(bottom + math.sqrt(250001)) <= ulp
+    assert 0 < top - 500 < 1e-3
+
+
+@pytest.mark.parametrize("coeffs", [(-2, -10, -12, 1), (-2, 10, -12, -1)])
+def test_two_irrational_roots_in_one_unit_interval(coeffs):
+    # roots near -0.432 and -0.362 (mirrored for c3 = -1) share their floor,
+    # so refining one must stay on its own side of the critical point
+    values = cubic_root_values(coeffs)
+    reference = sorted(np.roots(coeffs[::-1]).real, reverse=True)
+    assert all(isinstance(v, float) for v in values)
+    assert max(abs(a - b) for a, b in zip(values, reference)) < 1e-12
+    assert math.floor(values[1]) == math.floor(values[2 if coeffs[3] > 0 else 0])
+
+
+def test_double_and_triple_roots():
+    # 2(x - 3)^2 (x + 5), (2x - 1)^2 (x + 1) and (2x + 3)^3
+    assert cubic_root_values(_cubic_from_roots(2, (1, 1, 1), (3, 3, -5))) == (3, 3, -5)
+    half = Fraction(1, 2)
+    assert cubic_root_values(_cubic_from_roots(1, (2, 2, 1), (1, 1, -1))) == (half, half, -1)
+    assert cubic_root_values(_cubic_from_roots(1, (2, 2, 2), (-3, -3, -3))) == (
+        (Fraction(-3, 2),) * 3
+    )
+    assert cubic_discriminant(_cubic_from_roots(-1, (1, 1, 1), (2**70, 2**70, 1))) == 0
+    assert cubic_root_values(_cubic_from_roots(-1, (1, 1, 1), (2**70, 2**70, 1))) == (
+        2**70, 2**70, 1
+    )
+
+
+@pytest.mark.parametrize("big", [3 * 2**100 + 12345, 2**160 + 7])
+def test_irrational_roots_with_coefficients_beyond_2_53(big):
+    # -(x - 7)(x^2 - big): c0 = -7 * big is far past float precision
+    poly = -1 * (X - 7) * (X**2 - big)
+    coeffs = tuple(poly.coeff(i) for i in range(4))
+    top, middle, bottom = cubic_root_values(coeffs)
+    assert middle == 7 and bottom == -top
+    exact = Fraction(math.isqrt(big << 400), 1 << 200)  # sqrt(big) to 2^-200
+    assert abs(Fraction(top) - exact) <= Fraction(top) * 2**-52
+
+
+def test_exact_evaluations_grow_with_bit_length(monkeypatch):
+    real = cubic._value
+    calls = []
+
+    def counting(t, y):
+        calls.append(y)
+        return real(t, y)
+
+    monkeypatch.setattr(cubic, "_value", counting)
+    cases = [
+        (609563274996962308817466, 24689950597310074067, 11344962968, -1),
+        _cubic_from_roots(6, (2, 3, 1), (2**100 + 1, -(2**99), 3)),
+    ] + [
+        tuple((-1 * (X - 2**bits - 1) * (X**2 - 3 * 2**bits)).coeff(i) for i in range(4))
+        for bits in (64, 256, 1024)
+    ]
+    for coeffs in cases:
+        calls.clear()
+        cubic._solve_cached.cache_clear()
+        cubic_root_values(coeffs)
+        assert 0 < len(calls) <= 4 * max(abs(c) for c in coeffs).bit_length()
+
+
+def test_gate_query_agrees_with_numpy(capsys):
+    argv = ["spectrum", "--h", "1000000000", "--p", "12345", "--k", "1000000",
+            "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    coeffs = payload["cubic"]
+    reference = sorted(np.roots([float(c) for c in coeffs[::-1]]).real, reverse=True)
+    values = cubic_root_values(coeffs)
+    assert max(abs(a - b) / abs(b) for a, b in zip(values, reference)) < 1e-9
+    assert sum(e["multiplicity"] for e in payload["eigenvalues"]) == payload["n"]
+
+
+def test_eigenvalues_beyond_floats_are_refused(capsys):
+    assert main(["spectrum", "--h", str(10**400), "--p", "1", "--k", "2"]) == 2
+    assert "beyond the float range" in capsys.readouterr().err
+
+
+def test_integer_discriminant_stays_integer(monkeypatch):
+    monkeypatch.setattr(cubic, "Fraction", None)  # any use of Fraction now raises
+    assert cubic_discriminant((5, 5, -1, -1)) == 320
+    assert cubic_root_values((3, 5, 1, -1)) == (3, -1, -1)

@@ -86,6 +86,28 @@ def test_vieta_trace_reads_the_closed_cubic(shift, monkeypatch):
     assert not report.passed()
 
 
+@pytest.mark.parametrize("index, shift, holds", [
+    (1, -1, False), (1, 1, False), (0, -1, True), (0, 1, True),
+])
+def test_sum_squares_reads_c1_of_the_closed_cubic(index, shift, holds, monkeypatch):
+    from seidelspectra import verify
+
+    real = verify.charpoly_closed
+
+    def perturbed(params):
+        fac = real(params)
+        coeffs = list(fac.cubic)
+        coeffs[index] += shift
+        return fac._replace(cubic=tuple(coeffs))
+
+    params = make_params(5, 3, 4)
+    assert verify_instance(params).invariant_results.sum_squares
+    monkeypatch.setattr(verify, "charpoly_closed", perturbed)
+    report = verify_instance(params)
+    assert report.invariant_results.sum_squares is holds
+    assert not report.passed()
+
+
 def test_report_passed_thresholds():
     good = InvariantResults(True, True, True, True)
     r = VerificationReport(make_params(2, 1, 2), True, (), 0.5, good, 0.0)
