@@ -17,7 +17,7 @@ from .closedform import CubicRoot, charpoly_closed, cubic_s, spectrum_closed
 from .errors import DegenerateFamily, InvalidParams, UnsupportedShape
 from .family import make_params, signed_edges, vertex_labels
 from .polynomial import UniPoly
-from .verify import DEFAULT_N_CAP, discrepancy_notes, sweep, verify_instance
+from .verify import DEFAULT_N_CAP, N_MAX, discrepancy_notes, sweep, verify_instance
 
 N_CAP_ENV = "SEIDELSPECTRA_N_CAP"
 
@@ -77,6 +77,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_charpoly(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
+    if args.expanded and params.n > N_MAX:
+        raise UnsupportedShape(f"n = {params.n} is above N_MAX = {N_MAX}")
     fac = charpoly_closed(params)
     cubic_poly = UniPoly(fac.cubic)
     if args.format == "json":

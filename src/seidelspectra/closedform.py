@@ -17,7 +17,7 @@ from .errors import DegenerateFamily, UnsupportedShape
 from . import cubic
 from .family import FamilyParams
 from .linalg import Matrix, assemble_blocks, ones_matrix, zeros_matrix
-from .polynomial import UniPoly, X, _exact
+from .polynomial import UniPoly, X, _exact, _linear_power
 
 ExactValue = Union[int, Fraction]
 
@@ -29,7 +29,6 @@ __all__ = [
     "spectrum_aI_bJ",
     "spectrum_uniform_blocks",
     "uniform_block_matrix",
-    "cp_poly",
     "adjugate_negK_closed",
     "sandwich_closed",
     "cubic_s",
@@ -181,13 +180,6 @@ def uniform_block_matrix(
     )
 
 
-def cp_poly(n: int) -> UniPoly:
-    """det(-K_n - x*I) expanded: (1 - x)^(n-1) * (1 - n - x)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return (1 - X) ** (n - 1) * (1 - n - X)
-
-
 def adjugate_negK_closed(n: int) -> tuple[UniPoly, UniPoly]:
     """Diagonal and off-diagonal entries of adj(-K_n - x*I).
 
@@ -248,8 +240,8 @@ class FactoredCharPoly(NamedTuple):
 
     def expand(self) -> UniPoly:
         return (
-            (self.root1 - X) ** self.e1
-            * (self.root2 - X) ** self.e2
+            _linear_power(self.root1, self.e1)
+            * _linear_power(self.root2, self.e2)
             * UniPoly(self.cubic)
         )
 

@@ -10,7 +10,7 @@ class DegenerateFamily(ValueError):
 
 
 class UnsupportedShape(ValueError):
-    """Factored form needs a negative exponent, or an eigenvalue is beyond float range."""
+    """A negative factored exponent, an eigenvalue beyond floats, or n over verify.N_MAX."""
 
 
 class SingularInput(ZeroDivisionError):

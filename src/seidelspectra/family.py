@@ -29,7 +29,6 @@ __all__ = [
     "adjacency_matrix",
     "seidel_matrix",
     "x_prime_matrix",
-    "x_prime_row_sum",
     "signed_edges",
 ]
 
@@ -136,11 +135,6 @@ def x_prime_matrix(params: FamilyParams) -> Matrix:
     out = np.ones(((params.k - 1) * params.p, params.h), dtype=np.int64)
     out[:, : params.h - params.p] = -1
     return out
-
-
-def x_prime_row_sum(params: FamilyParams) -> int:
-    """Common row sum of the coupling block: p - (h - p) = 2p - h."""
-    return 2 * params.p - params.h
 
 
 def signed_edges(params: FamilyParams) -> tuple[tuple[int, int, int], ...]:

@@ -7,18 +7,20 @@ object arrays of Python ints, ``fractions.Fraction`` values or
 :class:`~seidelspectra.polynomial.UniPoly`, made by :func:`exact_matrix`
 where big-int, rational or polynomial arithmetic needs them; nothing in
 this module touches floating point.  Bareiss elimination gives integer
-determinants, Gauss-Jordan over Fraction gives inverses, and cofactor
-expansion gives adjugates and polynomial-entried determinants.
-Characteristic polynomials of integer matrices come from a multimodular
-method: upper Hessenberg reduction modulo 31-bit primes in int64 numpy
-arithmetic, the Hessenberg recurrence for det(x*I - H) mod p, and Chinese
-remaindering up to a proven Hadamard bound on the coefficients (Cohen,
-*A Course in Computational Algebraic Number Theory*, Alg. 2.2.9; Dumas,
-Pernet and Wan, ISSAC 2005).
+and rational determinants (rows scaled to integers), Gauss-Jordan over
+Fraction gives inverses, and cofactor expansion gives adjugates and
+polynomial-entried determinants.  Characteristic polynomials of integer
+matrices come from a multimodular method: upper Hessenberg reduction
+modulo 31-bit primes in int64 numpy arithmetic, the Hessenberg recurrence
+for det(x*I - H) mod p, and Chinese remaindering up to a proven Hadamard
+bound on the coefficients (Cohen, *A Course in Computational Algebraic
+Number Theory*, Alg. 2.2.9; Dumas, Pernet and Wan, ISSAC 2005), run on
+the quotient left after deflating classes of twin vertices (Godsil and
+Royle, *Algebraic Graph Theory*, Sec. 9.3; Cvetkovic, Rowlinson and
+Simic, *An Introduction to the Theory of Graph Spectra*, Sec. 3.9).
 
 Characteristic polynomial convention: :func:`charpoly_oracle` returns
-det(M - x*I), whose leading coefficient is (-1)^n.  Use
-:func:`monic_charpoly` for the det(x*I - M) normalization.
+det(M - x*I), whose leading coefficient is (-1)^n.
 """
 
 from __future__ import annotations
@@ -30,21 +32,17 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InternalError, SingularBlock, SingularInput
-from .polynomial import UniPoly, X, _exact
+from .polynomial import UniPoly, X, _exact, _linear_power
 
 #: Matrices in this package are 2-d numpy arrays: signed int64 for integer
 #: matrices built from the family's block layout, dtype=object with exact
 #: entries everywhere else.
 Matrix = np.ndarray
 
-#: Exact rational scalar: always reduced, positive denominator, value equality.
-RatScalar = Fraction
-
 Entry = Union[int, Fraction, UniPoly]
 
 __all__ = [
     "Matrix",
-    "RatScalar",
     "exact_matrix",
     "identity_matrix",
     "ones_matrix",
@@ -55,10 +53,8 @@ __all__ = [
     "trace_exact",
     "det_exact",
     "charpoly_oracle",
-    "monic_charpoly",
     "adjugate_exact",
     "inverse_exact",
-    "sherman_morrison_inverse",
     "schur_block_det",
     "schur_block_det_adjugate",
 ]
@@ -177,27 +173,6 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _det_rational(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    det = Fraction(1)
-    for r in range(n):
-        pivot_row = next((rr for rr in range(r, n) if m[rr][r] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            det = -det
-        pivot = m[r][r]
-        det *= pivot
-        for i in range(r + 1, n):
-            factor = m[i][r] / pivot
-            if factor == 0:
-                continue
-            for j in range(r, n):
-                m[i][j] -= factor * m[r][j]
-    return det
-
-
 def _det_ring(m: list[list[Entry]]) -> Entry:
     """Determinant over any exact commutative ring.
 
@@ -235,7 +210,11 @@ def det_exact(m: object) -> Entry:
     if any(isinstance(e, UniPoly) for e in flat):
         return _det_ring(entries)
     if any(isinstance(e, Fraction) for e in flat):
-        return _exact(_det_rational([[Fraction(e) for e in row] for row in entries]))
+        # scaling each row by the lcm of its denominators keeps one elimination
+        rows = [[Fraction(e) for e in row] for row in entries]
+        scales = [math.lcm(*(e.denominator for e in row)) for row in rows]
+        ints = [[int(e * s) for e in row] for row, s in zip(rows, scales)]
+        return _exact(Fraction(_det_bareiss(ints), math.prod(scales)))
     return _det_bareiss(entries)
 
 
@@ -352,10 +331,64 @@ def _integer_matrix(m: object) -> Matrix:
         a = a.astype(np.int64, copy=False)
     elif not all(isinstance(e, int) for e in a.flat):
         raise TypeError("charpoly_oracle expects integer entries")
-    elif all(-(1 << 63) <= e < 1 << 63 for e in a.flat):
-        a = a.astype(np.int64)
+    else:
+        a = _int64_if_fits(a)
     _require_square(a, "characteristic polynomial")
     return a
+
+
+def _int64_if_fits(a: Matrix) -> Matrix:
+    """An object array of Python ints as int64 when every entry fits, else as it is."""
+    fits = all(-(1 << 63) <= e < 1 << 63 for e in a.flat)
+    return a.astype(np.int64) if fits else a
+
+
+def _twin_weights(n: int) -> np.ndarray:
+    """Fixed hash weights for grouping rows; they set speed, never the answer."""
+    return np.arange(1, n + 1, dtype=np.int64) * 2654435761 % ((1 << 20) - 3) + 1
+
+
+def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]]:
+    """The quotient B of a's twin classes, and {root: exponent} of their linear factors.
+
+    Rows hashed alike are checked exactly against their group's first
+    vertex, so the hash (int64, it may wrap) sets speed, never the answer.
+    B[i, j] = a[rep_i, rep_j] * |C_j| for cells i != j and B[i, i] =
+    d_i + t_i * (|C_i| - 1) are built on Python ints, so nothing wraps.
+    """
+    n = a.shape[0]
+    weights = _twin_weights(n).astype(a.dtype)
+    # adding t * weights to this row hash puts t on the diagonal
+    off_diagonal = a @ weights - np.diagonal(a) * weights
+    head = np.arange(n)  # lowest index of each vertex's cell
+    twin = np.zeros(n, dtype=np.int64)  # the cell's t, 0 for a singleton
+    # a vertex in a class for t = -1 cannot pass the exact check for t = 1
+    # (twins u ~ v for -1 and u ~ w for 1 would make a[w, v] both -1 and 1)
+    for value in (-1, 1):
+        keys = off_diagonal + value * weights
+        order = np.argsort(keys, kind="stable")
+        for members in np.split(order, np.flatnonzero(np.diff(keys[order]) != 0) + 1):
+            if members.size < 2:
+                continue
+            span = np.arange(members.size)
+            rows, cols = a[members], a[:, members].T
+            rows[span, members] = cols[span, members] = value
+            same = ((rows == rows[0]).all(axis=1) & (cols == cols[0]).all(axis=1)
+                    & (a[members, members] == a[members[0], members[0]]))
+            if np.count_nonzero(same) > 1:
+                head[members[same]], twin[members[same]] = members[0], value
+    reps = np.flatnonzero(head == np.arange(n))
+    sizes = np.bincount(head, minlength=n)[reps].astype(object)
+    values = twin[reps].astype(object)
+    quotient = a[np.ix_(reps, reps)].astype(object)
+    diagonal = np.diagonal(quotient).copy()
+    quotient *= sizes
+    np.fill_diagonal(quotient, diagonal + values * (sizes - 1))
+    factors: dict[int, int] = {}
+    for d, t, size in zip(diagonal.tolist(), values.tolist(), sizes.tolist()):
+        if size > 1:
+            factors[d - t] = factors.get(d - t, 0) + size - 1
+    return _int64_if_fits(quotient), factors
 
 
 def _coefficient_bound(a: Matrix) -> int:
@@ -374,34 +407,9 @@ def _coefficient_bound(a: Matrix) -> int:
     return bound
 
 
-def charpoly_oracle(m: object) -> UniPoly:
-    """Characteristic polynomial det(m - x*I) of an integer matrix, exactly.
-
-    Modular method: for 31-bit primes p, reduce m mod p to upper Hessenberg
-    form with int64 row and column operations, read det(x*I - H) mod p off
-    the Hessenberg recurrence, and combine the residues by the Chinese
-    remainder theorem into symmetric residues.  Primes are added until
-    their product exceeds 2*B, where B = prod (1 + ceil(||row||_2)) bounds
-    every coefficient (Hadamard on the principal minors), so the result is
-    proven exact, not merely stable.  References: H. Cohen, *A Course in
-    Computational Algebraic Number Theory*, Alg. 2.2.9; J.-G. Dumas,
-    C. Pernet, Z. Wan, "Efficient computation of the characteristic
-    polynomial", ISSAC 2005.
-
-    Deliberately independent of every closed form in this package, which
-    is what makes it usable as an oracle: it sees only the matrix entries.
-    A signed-integer array is used as it is; any other input is checked
-    entry by entry.  Raises TypeError for non-integer entries and
-    ValueError for dimension 0 or at least 2^16.
-    """
-    a = _integer_matrix(m)
+def _charpoly_multimodular(a: Matrix) -> UniPoly:
+    """det(a - x*I) of a square integer array, dimension >= 1, with no deflation."""
     n = a.shape[0]
-    if n == 0:
-        raise ValueError("characteristic polynomial needs dimension >= 1")
-    if n >= _MAX_ORACLE_DIM:
-        raise ValueError(
-            f"charpoly_oracle supports dimension below {_MAX_ORACLE_DIM}, got {n}"
-        )
     bound = _coefficient_bound(a)
     coeffs = [0] * (n + 1)
     modulus = 1
@@ -418,15 +426,52 @@ def charpoly_oracle(m: object) -> UniPoly:
             break
     half = modulus // 2
     coeffs = [c - modulus if c > half else c for c in coeffs]
-    # the recurrence yields det(x*I - m); flip to det(m - x*I)
+    # the recurrence yields det(x*I - a); flip to det(a - x*I)
     if n % 2:
         coeffs = [-c for c in coeffs]
     return UniPoly(coeffs)
 
 
-def monic_charpoly(p: UniPoly) -> UniPoly:
-    """Convert det(M - x*I) to the monic convention det(x*I - M)."""
-    return p if p.degree % 2 == 0 else -p
+def charpoly_oracle(m: object) -> UniPoly:
+    """Characteristic polynomial det(m - x*I) of an integer matrix, exactly.
+
+    Twin classes are deflated first: vertices u and v with t = +-1 when
+    m[u, u] = m[v, v] = d, m[u, v] = m[v, u] = t and their rows and columns
+    agree outside {u, v}.  They are cells of an equitable partition, so
+    det(m - x*I) is det(B - x*I) for the quotient B of :func:`_twin_quotient`
+    times (d - t - x)^(|C| - 1) per class C (Godsil and Royle, *Algebraic
+    Graph Theory*, Sec. 9.3; Cvetkovic, Rowlinson and Simic, *An
+    Introduction to the Theory of Graph Spectra*, Sec. 3.9); without twins
+    B is m.  Then the modular method: for 31-bit primes p, reduce B mod p
+    to upper Hessenberg form with int64 row and column operations, read
+    det(x*I - H) mod p off the Hessenberg recurrence, and combine the
+    residues by the Chinese remainder theorem into symmetric residues.
+    Primes are added until their product exceeds 2*N, where
+    N = prod (1 + ceil(||row||_2)) bounds every coefficient (Hadamard on
+    the principal minors), so the result is proven exact, not merely
+    stable.  References: H. Cohen, *A Course in Computational Algebraic
+    Number Theory*, Alg. 2.2.9; J.-G. Dumas, C. Pernet, Z. Wan, "Efficient
+    computation of the characteristic polynomial", ISSAC 2005.
+
+    Deliberately independent of every closed form in this package, which
+    is what makes it usable as an oracle: it sees only the matrix entries.
+    A signed-integer array is used as it is; any other input is checked
+    entry by entry.  Raises TypeError for non-integer entries and
+    ValueError for dimension 0 or at least 2^16.
+    """
+    a = _integer_matrix(m)
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("characteristic polynomial needs dimension >= 1")
+    if n >= _MAX_ORACLE_DIM:
+        raise ValueError(
+            f"charpoly_oracle supports dimension below {_MAX_ORACLE_DIM}, got {n}"
+        )
+    quotient, factors = _twin_quotient(a)
+    poly = _charpoly_multimodular(quotient)
+    for root, exponent in factors.items():
+        poly = poly * _linear_power(root, exponent)
+    return poly
 
 
 def _minor(entries: list[list[Entry]], drop_row: int, drop_col: int) -> list[list[Entry]]:
@@ -491,23 +536,6 @@ def inverse_exact(m: object) -> Matrix:
         for j in range(n):
             out[i, j] = _exact(rows[i][n + j])
     return out
-
-
-def sherman_morrison_inverse(
-    a: int | Fraction, b: int | Fraction, n: int
-) -> tuple[Fraction, Fraction]:
-    """Coefficients (a2, b2) with (a*I_n + b*J_n)^-1 = a2*I_n + b2*J_n.
-
-    J is the rank-one update ones @ ones.T of a*I, so the inverse stays in
-    the span of I and J: a2 = 1/a, b2 = -b/(a*(a + b*n)).
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0:
-        raise SingularInput("a = 0: a*I + b*J has no inverse")
-    if a + b * n == 0:
-        raise SingularInput(f"a + b*n = 0 (a={a}, b={b}, n={n}): a*I + b*J is singular")
-    return 1 / a, -b / (a * (a + b * n))
 
 
 def _check_blocks(A: Matrix, B: Matrix, C: Matrix, D: Matrix) -> tuple[int, int]:

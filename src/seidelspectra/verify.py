@@ -13,7 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ComplexRoots, DegenerateLeading, InvalidParams, NotSymmetric
+from .errors import (
+    ComplexRoots, DegenerateLeading, InvalidParams, NotSymmetric, UnsupportedShape,
+)
 from .cubic import cubic_roots
 from .closedform import Spectrum, charpoly_closed, spectrum_closed
 from .family import FamilyParams, make_params, seidel_matrix
@@ -31,6 +33,10 @@ __all__ = [
 ]
 
 DEFAULT_N_CAP = 40
+
+#: Largest n that verify_instance and ``charpoly --expanded`` take; the
+#: matrix, its numeric eigenvalues and the expansion finish in seconds here.
+N_MAX = 3000
 
 
 class InvariantResults(NamedTuple):
@@ -98,7 +104,9 @@ def eig_numeric(m: object, tol: float = 1e-9) -> tuple[float, ...]:
 
 
 def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationReport:
-    """Compare the factored characteristic polynomial against both oracles."""
+    """Compare the factored characteristic polynomial against both oracles (n <= N_MAX)."""
+    if params.n > N_MAX:
+        raise UnsupportedShape(f"n = {params.n} is above N_MAX = {N_MAX}")
     start = time.perf_counter()
     _, p, k, n = params
     seidel = seidel_matrix(params)
@@ -122,8 +130,9 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
 
     sum_sq_coeff = (-1) ** n * (-(n * (n - 1)) // 2)
     trace = trace_exact(seidel)
-    # tr S^2 for symmetric S is the sum of its squared entries, on Python ints
-    trace_sq = sum(e * e for row in seidel.tolist() for e in row)
+    # tr S^2 for symmetric S is the sum of its squared entries; exact in
+    # int64, as the entries are -1, 0 or 1 and n^2 < 2^63
+    trace_sq = int(np.vdot(seidel, seidel))
     _, c1, c2, c3 = factored.cubic
     linear_sq = (1 - 2 * p) ** 2 * (k - 2) + (n - k - 1)
     invariants = InvariantResults(

@@ -340,3 +340,33 @@ def _strict_json(text):
     def reject(token):
         raise ValueError(f"not valid JSON: {token}")
     return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--h", "3000", "--p", "1", "--k", "2"],
+    ["verify", "--h", "3000", "--p", "1", "--k", "2", "--format", "json"],
+    ["verify", "--h", str(10**400), "--p", "1", "--k", "2"],
+    ["charpoly", "--h", "3000", "--p", "1", "--k", "2", "--expanded"],
+    ["charpoly", "--h", "3000", "--p", "1", "--k", "2", "--expanded", "--format", "json"],
+])
+def test_n_above_n_max_is_refused_before_any_work(argv, capsys, monkeypatch):
+    import time
+
+    from seidelspectra import closedform, verify
+
+    def no_work(*args):
+        raise AssertionError("a matrix or an expansion was started")
+
+    monkeypatch.setattr(verify, "seidel_matrix", no_work)
+    monkeypatch.setattr(closedform.FactoredCharPoly, "expand", no_work)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "N_MAX = 3000" in captured.err
+
+
+def test_factored_charpoly_above_n_max_still_prints(capsys):
+    assert main(["charpoly", "--h", "3000", "--p", "1", "--k", "2"]) == 0
+    assert "(1 - x)^2998" in capsys.readouterr().out

@@ -10,7 +10,6 @@ from seidelspectra.closedform import (
     ScalarMatrixSpec,
     adjugate_negK_closed,
     charpoly_closed,
-    cp_poly,
     cubic_s,
     sandwich_closed,
     spectrum_aI_bJ,
@@ -102,14 +101,6 @@ def test_uniform_block_multiplicity_bookkeeping():
     assert 1 + (t - 1) + t * (m - 1) == m * t == 6
     sp = spectrum_uniform_blocks(-1, 1, 1, m, t)
     assert sp.dimension == 6
-
-
-def test_cp_poly_small_and_oracle():
-    assert cp_poly(1) == -X
-    assert cp_poly(2) == X**2 - 1
-    assert cp_poly(3) == -(X**3) + 3 * X - 2
-    for n in range(1, 11):
-        assert cp_poly(n) == charpoly_oracle(-1 * complete_adjacency(n))
 
 
 def test_adjugate_closed_small_entries():

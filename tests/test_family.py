@@ -12,7 +12,6 @@ from seidelspectra.family import (
     signed_edges,
     vertex_labels,
     x_prime_matrix,
-    x_prime_row_sum,
 )
 from seidelspectra.linalg import complete_adjacency, identity_matrix, ones_matrix
 
@@ -163,20 +162,6 @@ def test_x_prime_is_the_seidel_coupling_block():
         rows = (params.k - 1) * params.p
         block = s[:rows, params.n - params.h:]
         assert (xp == block).all()
-
-
-def test_x_prime_row_sums():
-    assert x_prime_row_sum(make_params(3, 1, 2)) == -1
-    assert x_prime_row_sum(make_params(2, 1, 3)) == 0
-    assert x_prime_row_sum(make_params(2, 2, 2)) == 2
-    for params in grid(5, 4):
-        xp = x_prime_matrix(params)
-        target = x_prime_row_sum(params)
-        assert all(sum(row) == target for row in xp.tolist())
-        left = xp @ ones_matrix(params.h)
-        assert all(v == target for v in np.ravel(left))
-        right = ones_matrix(params.h) @ xp.T
-        assert all(v == target for v in np.ravel(right))
 
 
 def test_signed_edges():

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from seidelspectra import linalg
 from seidelspectra.errors import SingularBlock, SingularInput
+from seidelspectra.family import make_params, seidel_matrix
 from seidelspectra.linalg import (
     adjugate_exact,
     assemble_blocks,
@@ -17,11 +18,9 @@ from seidelspectra.linalg import (
     exact_matrix,
     identity_matrix,
     inverse_exact,
-    monic_charpoly,
     ones_matrix,
     schur_block_det,
     schur_block_det_adjugate,
-    sherman_morrison_inverse,
     trace_exact,
     zeros_matrix,
 )
@@ -223,13 +222,6 @@ def test_charpoly_rejects_non_integer_and_oversized_input(monkeypatch):
         charpoly_oracle(identity_matrix(3))
 
 
-def test_monic_conversion():
-    p = charpoly_oracle(-1 * complete_adjacency(3))
-    assert monic_charpoly(p).leading == 1
-    q = charpoly_oracle(identity_matrix(2))
-    assert monic_charpoly(q) == q
-
-
 def test_adjugate_known_values():
     assert same_matrix(adjugate_exact(identity_matrix(3)), identity_matrix(3))
     adj = adjugate_exact([[0, -1], [-1, 0]])
@@ -259,29 +251,6 @@ def test_inverse_exact():
     assert inv[0, 0] == Fraction(2, 3)
     with pytest.raises(SingularInput):
         inverse_exact(ones_matrix(3))
-
-
-def test_sherman_morrison_examples():
-    assert sherman_morrison_inverse(1, 0, 5) == (1, 0)
-    assert sherman_morrison_inverse(1, 1, 2) == (1, Fraction(-1, 3))
-    with pytest.raises(SingularInput):
-        sherman_morrison_inverse(0, 1, 3)
-    with pytest.raises(SingularInput):
-        sherman_morrison_inverse(2, -1, 2)
-
-
-def test_sherman_morrison_product_identity():
-    for a in range(-3, 4):
-        if a == 0:
-            continue
-        for b in range(-3, 4):
-            for n in range(1, 7):
-                if a + b * n == 0:
-                    continue
-                a2, b2 = sherman_morrison_inverse(a, b, n)
-                m = a * identity_matrix(n) + b * ones_matrix(n)
-                m_inv = a2 * identity_matrix(n) + b2 * ones_matrix(n)
-                assert same_matrix(m @ m_inv, identity_matrix(n))
 
 
 def test_schur_block_det_examples():
@@ -375,3 +344,156 @@ def test_trace_reads_int64_and_exact_entries():
         trace_exact(np.eye(2))
     with pytest.raises(ValueError):
         trace_exact([[1, 2, 3]])
+
+
+@st.composite
+def planted_twin_matrices(draw, max_dim=12):
+    """Matrices whose vertices fall into classes of twins, in shuffled order.
+
+    Each class has its own diagonal d and twin value t = +-1, and the
+    entries between two classes are one constant +-1, so every class is a
+    twin class; a flipped symmetric pair or one non-symmetric entry may
+    then break some of them.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    sizes: list[int] = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(min_value=1, max_value=n - sum(sizes))))
+    cells = range(len(sizes))
+    diag = [draw(st.integers(min_value=-3, max_value=3)) for _ in cells]
+    twin = [draw(st.sampled_from((-1, 1))) for _ in cells]
+    between = [[draw(st.sampled_from((-1, 1))) for _ in cells] for _ in cells]
+    cell = draw(st.permutations([i for i in cells for _ in range(sizes[i])]))
+    m = [
+        [
+            diag[cell[u]] if u == v
+            else twin[cell[u]] if cell[u] == cell[v]
+            else between[min(cell[u], cell[v])][max(cell[u], cell[v])]
+            for v in range(n)
+        ]
+        for u in range(n)
+    ]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if n >= 2 and draw(st.booleans()):
+        u, v = draw(pair.filter(lambda uv: uv[0] != uv[1]))
+        m[u][v] = m[v][u] = -m[u][v]
+    if draw(st.booleans()):
+        u, v = draw(pair)
+        m[u][v] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return m
+
+
+@seed(20260418)
+@settings(max_examples=120, deadline=None)
+@given(planted_twin_matrices())
+def test_deflation_matches_symbolic_determinant_property(m):
+    assert charpoly_oracle(m) == det_exact(char_matrix(m))
+    assert charpoly_oracle(np.array(m, dtype=np.int64)) == det_exact(char_matrix(m))
+
+
+def hessenberg_dimensions(monkeypatch):
+    """Record the dimension of every matrix the Hessenberg reduction sees."""
+    seen = []
+    real = linalg._hessenberg_mod
+
+    def counting(h, prime):
+        seen.append(h.shape[0])
+        return real(h, prime)
+
+    monkeypatch.setattr(linalg, "_hessenberg_mod", counting)
+    return seen
+
+
+def test_twin_rows_with_different_columns_do_not_deflate(monkeypatch):
+    # with the diagonal set to 1, rows 0 and 1 agree but columns 0 and 1 differ
+    rows_only = [[0, 1, 2], [1, 0, 2], [3, 4, 5]]
+    seen = hessenberg_dimensions(monkeypatch)
+    for m in (rows_only, [list(col) for col in zip(*rows_only)]):
+        seen.clear()
+        assert charpoly_oracle(m) == det_exact(char_matrix(m))
+        assert set(seen) == {3}
+    # unequal diagonals do not deflate either
+    m = [[0, 1, 2], [1, 1, 2], [2, 2, 5]]
+    seen.clear()
+    assert charpoly_oracle(m) == det_exact(char_matrix(m))
+    assert set(seen) == {3}
+    # a real twin pair does
+    m = [[0, 1, 2], [1, 0, 2], [2, 2, 5]]
+    seen.clear()
+    assert charpoly_oracle(m) == det_exact(char_matrix(m))
+    assert set(seen) == {2}
+
+
+def test_deflation_with_a_constant_hash_key(monkeypatch):
+    matrices = [seidel_matrix(make_params(h, p, k))
+                for h, p, k in ((3, 1, 2), (5, 2, 4), (7, 3, 5), (6, 1, 6))]
+    matrices.append(np.array([[0, 1, 2], [1, 0, 2], [2, 2, 5]], dtype=np.int64))
+    expected = [charpoly_oracle(m) for m in matrices]
+    # every vertex lands in one group: only exact checks separate the classes
+    monkeypatch.setattr(linalg, "_twin_weights", lambda n: np.zeros(n, dtype=np.int64))
+    assert [charpoly_oracle(m) for m in matrices] == expected
+    assert [charpoly_oracle(m.tolist()) for m in matrices] == expected
+
+
+def test_deflation_does_not_wrap_near_2_62():
+    big = 2**62
+    # classes {0, 1, 2} (t = 1) and {3, 4} (t = -1) with entries near 2^62,
+    # so the quotient's weighted entries and diagonal leave int64
+    m = [
+        [big, 1, 1, big - 5, big - 5],
+        [1, big, 1, big - 5, big - 5],
+        [1, 1, big, big - 5, big - 5],
+        [-big + 7, -big + 7, -big + 7, -big, -1],
+        [-big + 7, -big + 7, -big + 7, -1, -big],
+    ]
+    quotient, factors = linalg._twin_quotient(np.array(m, dtype=np.int64))
+    assert quotient.shape == (2, 2) and quotient.dtype == object
+    assert factors == {big - 1: 2, -big + 1: 1}
+    expected = det_exact(char_matrix(m))
+    assert charpoly_oracle(m) == expected
+    assert charpoly_oracle(np.array(m, dtype=np.int64)) == expected
+
+
+def test_deflation_matches_the_undeflated_path():
+    params = [
+        make_params(h, p, k)
+        for h in range(2, 8) for p in range(1, h + 1) for k in range(2, 6)
+        if h + (k - 1) * p <= 40
+    ]
+    assert len(params) == 108
+    params += [make_params(30, 10, 8), make_params(100, 20, 11)]  # n = 100, 300
+    for point in params:
+        s = seidel_matrix(point)
+        assert charpoly_oracle(s) == linalg._charpoly_multimodular(s), point
+
+
+def test_pivot_swap_and_empty_column_cases_reach_full_dimension(monkeypatch):
+    # the matrices of test_charpoly_pivot_swaps_and_empty_columns, which
+    # reach the Hessenberg code whole unless they have twins
+    cycles = {n: [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+              for n in (2, 3, 6)}
+    swapped = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    whole = [zeros_matrix(n).tolist() for n in (1, 2, 5)]
+    whole += [[[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+              for n in (2, 3, 6)]
+    whole += [
+        cycles[3],
+        cycles[6],
+        [[1, 2, 3], [FIRST_PRIME, 4, 5], [6, 7, 8]],
+        [[1, 2, 3, 4], [FIRST_PRIME, 0, 1, 2], [FIRST_PRIME, 1, 0, 2], [5, 6, 7, 8]],
+        [[FIRST_PRIME, 1], [1, -FIRST_PRIME]],
+    ]
+    seen = hessenberg_dimensions(monkeypatch)
+    for m in whole:
+        seen.clear()
+        assert charpoly_oracle(m) == det_exact(char_matrix(m))
+        assert seen and set(seen) == {len(m)}
+    # the 2-cycle is a twin pair and swapped is two (t = 1); the undeflated
+    # path still takes swapped's pivot swaps at full dimension
+    for m, cells in ((cycles[2], 1), (swapped, 2)):
+        seen.clear()
+        assert charpoly_oracle(m) == det_exact(char_matrix(m))
+        assert set(seen) == {cells}
+        seen.clear()
+        assert linalg._charpoly_multimodular(np.array(m)) == det_exact(char_matrix(m))
+        assert set(seen) == {len(m)}

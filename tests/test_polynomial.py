@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, strategies as st
 
-from seidelspectra.polynomial import UniPoly, X, constant
+from seidelspectra.polynomial import UniPoly, X, _linear_power, constant
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
 sample_points = st.integers(min_value=-10, max_value=10)
@@ -102,3 +102,14 @@ def test_str_descending_terms():
 def test_repr_round_trip():
     p = UniPoly([3, 0, -1])
     assert eval(repr(p)) == p
+
+
+def test_linear_power_matches_repeated_squaring():
+    # the oracle's deflated factors and the closed form's expansion both
+    # rest on this helper, so it is checked against an independent route
+    for c in range(-3, 4):
+        for e in range(41):
+            assert _linear_power(c, e) == (c - X) ** e
+    assert _linear_power(Fraction(1, 2), 5) == (Fraction(1, 2) - X) ** 5
+    with pytest.raises(ValueError):
+        _linear_power(1, -1)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from seidelspectra import cubic
-from seidelspectra.errors import InvalidParams, NotSymmetric
+from seidelspectra.errors import InvalidParams, NotSymmetric, UnsupportedShape
 from seidelspectra.family import make_params, seidel_matrix
 from seidelspectra.linalg import identity_matrix, ones_matrix
 from seidelspectra.verify import (
+    N_MAX,
     InvariantResults,
     VerificationReport,
     cubic_roots,
@@ -221,3 +222,50 @@ def test_sweep_catches_every_cubic_coefficient_moved_by_one(index, shift, monkey
     for report in summary.reports:
         assert not report.charpoly_exact_match
         assert min(deg for deg, _, _ in report.coefficient_diffs) == index
+
+
+@pytest.mark.parametrize("field", ["root1", "e1", "e2"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_sweep_catches_every_linear_factor_moved_by_one(field, shift, monkeypatch):
+    from seidelspectra import verify
+
+    real = verify.charpoly_closed
+
+    def moved(params):
+        fac = real(params)
+        return fac._replace(**{field: getattr(fac, field) + shift})
+
+    monkeypatch.setattr(verify, "charpoly_closed", moved)
+    summary = sweep(4, 3)
+    assert summary.skipped == ()
+    # with k = 2 the factor (1 - 2p - x) has exponent 0, so moving its root
+    # leaves the polynomial as it is; every other point must fail
+    for report in summary.reports:
+        unchanged = field == "root1" and report.params.k == 2
+        assert report.charpoly_exact_match is unchanged
+        assert report.passed() is unchanged
+    # an exponent moved below 0 cannot be expanded: that point is an error
+    for params, message in summary.errors:
+        assert field != "root1" and shift == -1
+        assert message.startswith("ValueError: polynomial exponent")
+    if field == "root1":
+        assert summary.passed == summary.failed == 9
+    else:
+        assert summary.failed == 18 and summary.passed == 0
+
+
+@pytest.mark.parametrize("h", [N_MAX, 10**400], ids=["n_max_plus_1", "huge"])
+def test_verify_refuses_n_above_n_max_before_building(h, monkeypatch):
+    from seidelspectra import verify
+
+    def no_matrix(params):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(verify, "seidel_matrix", no_matrix)
+    params = make_params(h, 1, 2)
+    assert params.n > N_MAX
+    with pytest.raises(UnsupportedShape, match="N_MAX"):
+        verify_instance(params)
+    # n = N_MAX itself gets as far as building its matrix
+    with pytest.raises(AssertionError, match="a matrix was built"):
+        verify_instance(make_params(N_MAX - 1, 1, 2))
