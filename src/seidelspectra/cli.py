@@ -8,6 +8,7 @@ comparisons stay stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -239,12 +240,26 @@ def _add_family_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, required=True, help="number of cliques")
 
 
+def _tolerance(text: str) -> float:
+    """A finite --tol of at least 2^-50: each irrational root's float lies
+    within about 1 ulp (2^-52 relative) of it, so no tighter certificate holds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 2.0**-50 <= value < math.inf:  # nan fails too
+        raise argparse.ArgumentTypeError(f"must be finite and >= 2^-50, got {text!r}")
+    return value
+
+
 def _add_tol_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9,
+    parser.add_argument("--tol", type=_tolerance, default=1e-9,
                         help="numeric tolerance (default 1e-9)")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="seidelspectra",
         description="exact Seidel spectra of signed complete graphs whose "
@@ -286,8 +301,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_family_args(ex)
     ex.add_argument("--format", choices=("dot", "json"), default="dot")
     ex.set_defaults(func=cmd_export)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InvalidParams, DegenerateFamily, UnsupportedShape) as exc:

@@ -88,9 +88,7 @@ class Spectrum(NamedTuple):
         return tuple(sorted(out, reverse=True))
 
 
-def _canonical_spectrum(
-    entries: Sequence[tuple[SpectrumValue, int]], tol: float = 0.0
-) -> Spectrum:
+def _canonical_spectrum(entries: Sequence[tuple[SpectrumValue, int]]) -> Spectrum:
     bag: dict[SpectrumValue, int] = {}
     for value, mult in entries:
         if mult == 0:
@@ -100,26 +98,7 @@ def _canonical_spectrum(
         if not isinstance(value, CubicRoot):
             value = _exact(value)
         bag[value] = bag.get(value, 0) + mult
-    merged: dict[SpectrumValue, int] = {
-        v: m for v, m in bag.items() if not isinstance(v, CubicRoot)
-    }
-    for value, mult in bag.items():
-        if not isinstance(value, CubicRoot):
-            continue
-        host = None
-        if tol > 0:
-            x = float(value)
-            host = next(
-                (v for v in merged if not isinstance(v, CubicRoot)
-                 and abs(float(v) - x) <= tol),
-                None,
-            )
-        if host is None:
-            merged[value] = merged.get(value, 0) + mult
-        else:
-            merged[host] += mult
-    ordered = sorted(merged.items(), key=lambda item: float(item[0]), reverse=True)
-    return Spectrum(tuple(ordered))
+    return Spectrum(tuple(sorted(bag.items(), key=lambda kv: float(kv[0]), reverse=True)))
 
 
 def spectrum_aI_bJ(spec: ScalarMatrixSpec) -> Spectrum:
@@ -273,9 +252,9 @@ def spectrum_closed(params: FamilyParams, tol: float = 1e-9) -> Spectrum:
     """Full eigenvalue multiset from the factored form.
 
     Rational cubic roots come back exact and merge exactly with the linear
-    factors' eigenvalues; irrational roots are carried as CubicRoot
-    descriptors with their certified floats and merge with a rational
-    eigenvalue only when closer than ``tol``.  The cubic is solved once.
+    factors' eigenvalues.  Irrational roots, never equal to those integers,
+    are CubicRoot descriptors whose floats are certified to relative width
+    ``tol``.  The cubic is solved once.
     Raises UnsupportedShape when an eigenvalue is beyond the float range.
     """
     fac = charpoly_closed(params)
@@ -289,7 +268,7 @@ def spectrum_closed(params: FamilyParams, tol: float = 1e-9) -> Spectrum:
                 value = CubicRoot(fac.cubic, index, value)
             entries.append((value, 1))
         # ordering the spectrum takes every eigenvalue's float
-        return _canonical_spectrum(entries, tol)
+        return _canonical_spectrum(entries)
     except OverflowError:
         raise UnsupportedShape(
             f"an eigenvalue for params {params} is beyond the float range"

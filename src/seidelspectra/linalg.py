@@ -25,6 +25,8 @@ det(M - x*I), whose leading coefficient is (-1)^n.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence, Union
@@ -247,12 +249,15 @@ def _is_prime(m: int) -> bool:
 
 
 def _primes_below_2_31():
-    """Primes below 2^31, descending from 2^31 - 1, generated on demand."""
-    candidate = (1 << 31) - 1
-    while True:
-        if _is_prime(candidate):
-            yield candidate
-        candidate -= 2
+    """Odd primes below 2^31, descending from 2^31 - 1, generated on demand."""
+    return filter(_is_prime, range((1 << 31) - 1, 1, -2))
+
+
+@functools.cache
+def _prime(i: int) -> int:
+    """The i-th of _primes_below_2_31(), each searched for once per process."""
+    start = (1 << 31) - 1 if i == 0 else _prime(i - 1) - 2
+    return next(filter(_is_prime, range(start, 1, -2)))
 
 
 def _matvec_mod(a: np.ndarray, v: np.ndarray, prime: int) -> np.ndarray:
@@ -413,7 +418,7 @@ def _charpoly_multimodular(a: Matrix) -> UniPoly:
     bound = _coefficient_bound(a)
     coeffs = [0] * (n + 1)
     modulus = 1
-    for prime in _primes_below_2_31():
+    for prime in map(_prime, itertools.count()):
         # object entries beyond int64 are reduced as Python ints
         reduced = (a % prime).astype(np.int64, copy=False)
         residues = _charpoly_hessenberg_mod(_hessenberg_mod(reduced, prime), prime)

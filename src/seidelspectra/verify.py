@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     ComplexRoots, DegenerateLeading, InvalidParams, NotSymmetric, UnsupportedShape,
 )
-from .cubic import cubic_roots
 from .closedform import Spectrum, charpoly_closed, spectrum_closed
 from .family import FamilyParams, make_params, seidel_matrix
 from .linalg import _checked_matrix, charpoly_oracle, trace_exact
@@ -28,7 +27,6 @@ __all__ = [
     "eig_numeric",
     "verify_instance",
     "sweep",
-    "cubic_roots",
     "discrepancy_notes",
 ]
 

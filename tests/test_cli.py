@@ -1,9 +1,11 @@
+import argparse
 import json
 import re
 import sys
 
 import pytest
 
+from seidelspectra import cli
 from seidelspectra.cli import N_CAP_ENV, main, run
 
 CSV_HEADER = "h,p,k,n,exact_match,max_dev,elapsed_ms"
@@ -370,3 +372,108 @@ def test_n_above_n_max_is_refused_before_any_work(argv, capsys, monkeypatch):
 def test_factored_charpoly_above_n_max_still_prints(capsys):
     assert main(["charpoly", "--h", "3000", "--p", "1", "--k", "2"]) == 0
     assert "(1 - x)^2998" in capsys.readouterr().out
+
+
+def _outcome(capsys, argv, fresh=False):
+    """(exit code, stdout, stderr) of one main call; ``fresh`` rebuilds the parser first."""
+    if fresh:
+        cli._parser.cache_clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+FAMILY = ["--h", "3", "--p", "1", "--k", "2"]
+
+
+@pytest.mark.parametrize("command", [
+    ["spectrum", "--h", "5", "--p", "2", "--k", "3"],
+    ["verify", "--h", "5", "--p", "2", "--k", "3"],
+    ["sweep", "--h-max", "3", "--k-max", "2"],
+])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1e-30", "5e-324"])
+def test_tol_that_cannot_be_honoured_is_refused(command, tol, capsys):
+    code, out, err = _outcome(capsys, [*command, "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert f"argument --tol: must be finite and >= 2^-50, got '{tol}'" in err
+
+
+def test_tol_floor_and_a_large_tol_are_accepted(capsys):
+    assert main(["spectrum", *FAMILY, "--tol", repr(2.0**-50)]) == 0
+    assert "2.2360679775" in capsys.readouterr().out
+    assert main(["verify", *FAMILY, "--tol", "1e300"]) == 0
+
+
+def test_large_tol_never_merges_an_irrational_root(capsys):
+    code = main(["spectrum", "--h", "5", "--p", "2", "--k", "3", "--tol", "1e300",
+                 "--format", "json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["eigenvalues"] == [
+        {"value": 5.4244289009, "multiplicity": 1},
+        {"value": 1, "multiplicity": 5},
+        {"value": -3, "multiplicity": 2},
+        {"value": -4.4244289009, "multiplicity": 1},
+    ]
+
+
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    for argv in (
+        ["spectrum", *FAMILY],
+        ["charpoly", *FAMILY, "--format", "json"],
+        ["verify", *FAMILY],
+        ["export", *FAMILY],
+        ["sweep", "--h-max", "3", "--k-max", "2", "--out", str(tmp_path / "grid.csv")],
+    ):
+        assert _outcome(capsys, argv)[0] == 0
+    assert built.count("seidelspectra") == 1
+    assert len(built) == 6  # the top-level parser and its five subcommands
+
+
+def test_no_option_leaks_between_calls(tmp_path, capsys):
+    for first, second in (
+        (["charpoly", *FAMILY, "--expanded"], ["charpoly", *FAMILY]),
+        (["verify", *FAMILY, "--format", "json"], ["verify", *FAMILY]),
+    ):
+        _outcome(capsys, first)
+        after = _outcome(capsys, second)
+        assert after == _outcome(capsys, second, fresh=True)
+
+    out_file = tmp_path / "grid.csv"
+    code, out, _ = _outcome(capsys, ["sweep", "--h-max", "3", "--k-max", "2",
+                                     "--out", str(out_file)])
+    assert code == 0 and out.endswith("0 failed, 0 skipped\n")
+    assert out_file.read_text().startswith(CSV_HEADER)
+    code, out, err = _outcome(capsys, ["sweep", "--h-max", "3", "--k-max", "2"])
+    assert code == 0 and out.startswith(CSV_HEADER)
+    assert err.endswith("0 failed, 0 skipped\n")
+
+
+def test_usage_error_leaves_the_parser_intact(capsys):
+    calls = (["spectrum", "--h", "3"], ["spectrum", *FAMILY])
+    fresh = [_outcome(capsys, argv, fresh=True) for argv in calls]
+    shared = [_outcome(capsys, argv) for argv in calls]
+    assert fresh[0][0] == 2 and "required: --p, --k" in fresh[0][2]
+    assert shared == fresh
+
+
+@pytest.mark.parametrize("command", [[], ["spectrum"], ["charpoly"], ["verify"],
+                                     ["sweep"], ["export"]])
+def test_help_is_the_same_on_every_call(command, capsys):
+    first = _outcome(capsys, [*command, "--help"], fresh=True)
+    assert first[0] == 0
+    assert first[1].startswith(" ".join(["usage: seidelspectra", *command]))
+    _outcome(capsys, ["spectrum", *FAMILY])
+    assert _outcome(capsys, [*command, "--help"]) == first

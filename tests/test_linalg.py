@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -197,6 +198,31 @@ def test_charpoly_needing_several_primes(rng):
     p = charpoly_oracle(m)
     assert max(abs(c) for c in p.coeffs) > 2**62
     assert p == det_exact(char_matrix(m))
+
+
+def test_prime_cache_matches_the_generator():
+    expected = list(itertools.islice(linalg._primes_below_2_31(), 600))
+    linalg._prime.cache_clear()
+    assert [linalg._prime(i) for i in range(600)] == expected
+
+
+def test_oracle_generates_its_primes_once(rng, monkeypatch):
+    m = [[rng.randint(-(2**40), 2**40) for _ in range(4)] for _ in range(4)]
+    linalg._prime.cache_clear()
+    first = charpoly_oracle(m)
+    tested = []
+    real = linalg._is_prime
+
+    def counted(candidate):
+        tested.append(candidate)
+        return real(candidate)
+
+    monkeypatch.setattr(linalg, "_is_prime", counted)
+    assert charpoly_oracle(m) == first
+    assert tested == []
+    linalg._prime.cache_clear()
+    assert charpoly_oracle(m) == first
+    assert tested  # the patch does see a search that is not served from the cache
 
 
 def test_charpoly_interpolates_bareiss_determinants(rng):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from seidelspectra import cubic
 from seidelspectra.errors import InvalidParams, NotSymmetric, UnsupportedShape
 from seidelspectra.family import make_params, seidel_matrix
 from seidelspectra.linalg import identity_matrix, ones_matrix
@@ -11,7 +10,6 @@ from seidelspectra.verify import (
     N_MAX,
     InvariantResults,
     VerificationReport,
-    cubic_roots,
     discrepancy_notes,
     eig_numeric,
     sweep,
@@ -170,12 +168,6 @@ def test_discrepancy_notes_cover_known_slips():
     assert "t*(m - 1)" in notes[1] and "m*(t - 1)" in notes[1]
     assert "(m, t) = (2, 3)" in notes[1]
     assert "n - 2 - (n - h)/p" in notes[2]
-
-
-def test_cubic_roots_reexport():
-    assert cubic_roots is cubic.cubic_roots
-    roots = cubic_roots((3, 5, 1, -1))
-    assert roots == (3.0, -1.0, -1.0)
 
 
 def test_eig_numeric_int64_boundary():
