@@ -25,7 +25,7 @@ from .polynomial import _exact
 RootValue = Union[int, Fraction, float]
 Monic = tuple[int, int, int]  # (a0, a1, a2) of y^3 + a2*y^2 + a1*y + a0
 
-__all__ = ["cubic_discriminant", "cubic_root_values", "cubic_roots"]
+__all__ = ["cubic_discriminant", "cubic_root_values"]
 
 #: Distinct integer cubics whose roots are kept between calls.
 _SOLVE_CACHE_SIZE = 1024
@@ -194,10 +194,3 @@ def cubic_root_values(
             )
     return values
 
-
-def cubic_roots(
-    coeffs: Sequence[int | Fraction], tol: float = 1e-9
-) -> tuple[float, float, float]:
-    """The three real roots as floats, sorted descending, residual-checked."""
-    a, b, c = (float(v) for v in cubic_root_values(coeffs, tol))
-    return a, b, c

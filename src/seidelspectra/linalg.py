@@ -15,9 +15,12 @@ modulo 31-bit primes in int64 numpy arithmetic, the Hessenberg recurrence
 for det(x*I - H) mod p, and Chinese remaindering up to a proven Hadamard
 bound on the coefficients (Cohen, *A Course in Computational Algebraic
 Number Theory*, Alg. 2.2.9; Dumas, Pernet and Wan, ISSAC 2005), run on
-the quotient left after deflating classes of twin vertices (Godsil and
+the quotient left when classes of twin vertices, with any integer entry
+between twins, are deflated again and again until none merge (Godsil and
 Royle, *Algebraic Graph Theory*, Sec. 9.3; Cvetkovic, Rowlinson and
-Simic, *An Introduction to the Theory of Graph Spectra*, Sec. 3.9).
+Simic, *An Introduction to the Theory of Graph Spectra*, Sec. 3.9);
+``_charpoly_factored`` returns that quotient's polynomial and the linear
+factors unexpanded.
 
 Characteristic polynomial convention: :func:`charpoly_oracle` returns
 det(M - x*I), whose leading coefficient is (-1)^n.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -353,47 +357,88 @@ def _twin_weights(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=np.int64) * 2654435761 % ((1 << 20) - 3) + 1
 
 
-def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]]:
-    """The quotient B of a's twin classes, and {root: exponent} of their linear factors.
+#: Twin detection reads the matrix in blocks of about this many entries.
+_TWIN_BLOCK_ENTRIES = 1 << 18
 
-    Rows hashed alike are checked exactly against their group's first
-    vertex, so the hash (int64, it may wrap) sets speed, never the answer.
-    B[i, j] = a[rep_i, rep_j] * |C_j| for cells i != j and B[i, i] =
-    d_i + t_i * (|C_i| - 1) are built on Python ints, so nothing wraps.
+
+def _twin_values(a: Matrix) -> Sequence[int]:
+    """Candidate twin entries t: a's distinct off-diagonal entries, only -1,
+    0 and 1 past n of them, or every integer between a's least and greatest
+    entry when those are at most 2 apart.  They set speed, never the answer."""
+    n = a.shape[0]
+    low, high = int(a.min()), int(a.max())
+    if high - low <= 2:
+        return range(low, high + 1)
+    counts: Counter[int] = Counter()
+    step = max(1, _TWIN_BLOCK_ENTRIES // n)
+    for start in range(0, n, step):
+        counts.update(a[start:start + step].ravel().tolist())
+        if len(counts) > 2 * n:  # more than n left without the diagonal
+            return (-1, 0, 1)
+    counts.subtract(np.diagonal(a).tolist())
+    values = sorted(value for value, count in counts.items() if count > 0)
+    return values if len(values) <= n else (-1, 0, 1)
+
+
+def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
+    """One deflation pass: a's twin quotient B and {root: exponent}, or None.
+
+    Twins u, v have equal diagonals d, the entry t both ways between them
+    and equal rows and columns outside {u, v}.  Per candidate t, a row hash
+    (int64, it may wrap) that is symmetric in a twin pair sorts the
+    vertices; a vertex that ties with the one before it is checked exactly
+    against it, in row blocks, so the hash sets speed, never the answer.
+    No vertex is a twin for two values of t (u ~ v for t and u ~ w for t'
+    make a[w, v] both t and t').  B[i, j] = a[rep_i, rep_j] * |C_j| and
+    B[i, i] = d_i + t_i * (|C_i| - 1) are built on Python ints.
     """
     n = a.shape[0]
+    diagonal = np.diagonal(a)
+    if len(set(diagonal.tolist())) == n:  # twins share a diagonal entry
+        return None
     weights = _twin_weights(n).astype(a.dtype)
     # adding t * weights to this row hash puts t on the diagonal
-    off_diagonal = a @ weights - np.diagonal(a) * weights
+    off_diagonal = a @ weights - diagonal * weights
     head = np.arange(n)  # lowest index of each vertex's cell
-    twin = np.zeros(n, dtype=np.int64)  # the cell's t, 0 for a singleton
-    # a vertex in a class for t = -1 cannot pass the exact check for t = 1
-    # (twins u ~ v for -1 and u ~ w for 1 would make a[w, v] both -1 and 1)
-    for value in (-1, 1):
+    twin = np.zeros(n, dtype=a.dtype)  # the cell's t, 0 for a singleton
+    step = max(1, _TWIN_BLOCK_ENTRIES // n)
+    for value in _twin_values(a):
         keys = off_diagonal + value * weights
-        order = np.argsort(keys, kind="stable")
-        for members in np.split(order, np.flatnonzero(np.diff(keys[order]) != 0) + 1):
-            if members.size < 2:
-                continue
-            span = np.arange(members.size)
-            rows, cols = a[members], a[:, members].T
-            rows[span, members] = cols[span, members] = value
-            same = ((rows == rows[0]).all(axis=1) & (cols == cols[0]).all(axis=1)
-                    & (a[members, members] == a[members[0], members[0]]))
-            if np.count_nonzero(same) > 1:
-                head[members[same]], twin[members[same]] = members[0], value
+        order = np.argsort(keys, kind="stable")  # ascending index among ties
+        ranked = keys[order]
+        tied = np.zeros(n, dtype=bool)  # ties with the vertex sorted before it
+        tied[1:] = ranked[1:] == ranked[:-1]
+        if not tied.any():
+            continue
+        in_run = tied.copy()
+        in_run[:-1] |= tied[1:]
+        chain = order[in_run]
+        u, v = chain[:-1], chain[1:]
+        linked = tied[in_run][1:] & (a[u, v] == value) & (a[v, u] == value)
+        linked &= diagonal[u] == diagonal[v]
+        # then twins' columns, and their rows, differ in rows u and v alone,
+        # where d != t
+        for view in (a, a.T):
+            blocks = (view[start:start + step, chain] for start in range(0, n, step))
+            differ = sum((b[:, 1:] != b[:, :-1]).sum(axis=0) for b in blocks)
+            linked &= differ == 2 * (diagonal[u] != value)
+        # a stretch of linked vertices is one cell, headed by its first vertex
+        run = np.maximum.accumulate(np.where(linked, 0, np.arange(1, chain.size)))
+        head[v[linked]] = chain[run[linked]]
+        twin[chain[run[linked]]] = value
     reps = np.flatnonzero(head == np.arange(n))
-    sizes = np.bincount(head, minlength=n)[reps].astype(object)
-    values = twin[reps].astype(object)
-    quotient = a[np.ix_(reps, reps)].astype(object)
-    diagonal = np.diagonal(quotient).copy()
-    quotient *= sizes
-    np.fill_diagonal(quotient, diagonal + values * (sizes - 1))
+    if reps.size == n:
+        return None
+    sizes = np.bincount(head)[reps].tolist()
+    quotient = a[reps][:, reps].tolist()
     factors: dict[int, int] = {}
-    for d, t, size in zip(diagonal.tolist(), values.tolist(), sizes.tolist()):
+    for i, (row, size, t) in enumerate(zip(quotient, sizes, twin[reps].tolist())):
+        d = row[i]
+        row[:] = [e * s for e, s in zip(row, sizes)]
+        row[i] = d + t * (size - 1)
         if size > 1:
             factors[d - t] = factors.get(d - t, 0) + size - 1
-    return _int64_if_fits(quotient), factors
+    return _int64_if_fits(np.array(quotient, dtype=object)), factors
 
 
 def _coefficient_bound(a: Matrix) -> int:
@@ -437,17 +482,39 @@ def _charpoly_multimodular(a: Matrix) -> UniPoly:
     return UniPoly(coeffs)
 
 
+def _charpoly_factored(m: object) -> tuple[UniPoly, dict[int, int]]:
+    """:func:`charpoly_oracle` as a residual and {root: exponent}, the
+    residual being the characteristic polynomial of the quotient left when
+    :func:`_twin_quotient` merges nothing more."""
+    a = _integer_matrix(m)
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("characteristic polynomial needs dimension >= 1")
+    if n >= _MAX_ORACLE_DIM:
+        raise ValueError(
+            f"charpoly_oracle supports dimension below {_MAX_ORACLE_DIM}, got {n}"
+        )
+    roots: dict[int, int] = {}
+    while (deflated := _twin_quotient(a)) is not None:
+        a, factors = deflated
+        for root, exponent in factors.items():
+            roots[root] = roots.get(root, 0) + exponent
+    return _charpoly_multimodular(a), roots
+
+
 def charpoly_oracle(m: object) -> UniPoly:
     """Characteristic polynomial det(m - x*I) of an integer matrix, exactly.
 
-    Twin classes are deflated first: vertices u and v with t = +-1 when
-    m[u, u] = m[v, v] = d, m[u, v] = m[v, u] = t and their rows and columns
+    Twin classes are deflated first: u and v with m[u, u] = m[v, v] = d,
+    m[u, v] = m[v, u] = t for any integer t, and rows and columns that
     agree outside {u, v}.  They are cells of an equitable partition, so
     det(m - x*I) is det(B - x*I) for the quotient B of :func:`_twin_quotient`
     times (d - t - x)^(|C| - 1) per class C (Godsil and Royle, *Algebraic
     Graph Theory*, Sec. 9.3; Cvetkovic, Rowlinson and Simic, *An
-    Introduction to the Theory of Graph Spectra*, Sec. 3.9); without twins
-    B is m.  Then the modular method: for 31-bit primes p, reduce B mod p
+    Introduction to the Theory of Graph Spectra*, Sec. 3.9), and B is
+    deflated again until nothing merges: to 2 rows for the family.  This
+    is the product of :func:`_charpoly_factored`'s factored form.  Then
+    the modular method: for 31-bit primes p, reduce B mod p
     to upper Hessenberg form with int64 row and column operations, read
     det(x*I - H) mod p off the Hessenberg recurrence, and combine the
     residues by the Chinese remainder theorem into symmetric residues.
@@ -464,19 +531,8 @@ def charpoly_oracle(m: object) -> UniPoly:
     entry by entry.  Raises TypeError for non-integer entries and
     ValueError for dimension 0 or at least 2^16.
     """
-    a = _integer_matrix(m)
-    n = a.shape[0]
-    if n == 0:
-        raise ValueError("characteristic polynomial needs dimension >= 1")
-    if n >= _MAX_ORACLE_DIM:
-        raise ValueError(
-            f"charpoly_oracle supports dimension below {_MAX_ORACLE_DIM}, got {n}"
-        )
-    quotient, factors = _twin_quotient(a)
-    poly = _charpoly_multimodular(quotient)
-    for root, exponent in factors.items():
-        poly = poly * _linear_power(root, exponent)
-    return poly
+    residual, roots = _charpoly_factored(m)
+    return math.prod((_linear_power(r, e) for r, e in roots.items()), start=residual)
 
 
 def _minor(entries: list[list[Entry]], drop_row: int, drop_col: int) -> list[list[Entry]]:

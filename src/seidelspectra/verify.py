@@ -8,7 +8,9 @@ a formula error shows up as exactly the coefficients it breaks.
 
 from __future__ import annotations
 
+import math
 import time
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -16,9 +18,10 @@ import numpy as np
 from .errors import (
     ComplexRoots, DegenerateLeading, InvalidParams, NotSymmetric, UnsupportedShape,
 )
-from .closedform import Spectrum, charpoly_closed, spectrum_closed
+from .closedform import FactoredCharPoly, Spectrum, charpoly_closed, spectrum_closed
 from .family import FamilyParams, make_params, seidel_matrix
-from .linalg import _checked_matrix, charpoly_oracle, trace_exact
+from .linalg import _charpoly_factored, _checked_matrix, trace_exact
+from .polynomial import UniPoly, _linear_power
 
 __all__ = [
     "InvariantResults",
@@ -101,6 +104,30 @@ def eig_numeric(m: object, tol: float = 1e-9) -> tuple[float, ...]:
     return tuple(sorted(values.tolist(), reverse=True))
 
 
+def _same_product(factored: FactoredCharPoly, residual: UniPoly,
+                  roots: dict[int, int]) -> bool:
+    """Whether the closed form's product equals residual * prod (root - x)^e
+    over the oracle's roots, unexpanded: the linear factors both sides hold
+    cancel, and only what is left of each side is expanded and compared."""
+    closed = Counter({factored.root1: factored.e1}) + Counter({factored.root2: factored.e2})
+    oracle = Counter(roots)
+    common = closed & oracle
+    left = [math.prod((_linear_power(r, e) for r, e in (own - common).items()), start=poly)
+            for poly, own in ((UniPoly(factored.cubic), closed), (residual, oracle))]
+    return left[0] == left[1]
+
+
+def _degree_and_third(residual: UniPoly, roots: dict[int, int]) -> tuple[int, int]:
+    """Degree and x^(degree - 2) coefficient of residual * prod (root - x)^e:
+    (-1)^E (r0*s2 - r1*s1 + r2) for the residual's leading coefficients
+    r0, r1, r2 and the elementary sums s1, s2 of the E linear roots."""
+    exponent = sum(roots.values())
+    s1 = sum(e * root for root, e in roots.items())
+    s2 = (s1 * s1 - sum(e * root * root for root, e in roots.items())) // 2
+    r0, r1, r2 = (residual.coeffs[::-1] + (0, 0))[:3]
+    return residual.degree + exponent, (-1) ** exponent * (r0 * s2 - r1 * s1 + r2)
+
+
 def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationReport:
     """Compare the factored characteristic polynomial against both oracles (n <= N_MAX)."""
     if params.n > N_MAX:
@@ -109,14 +136,19 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
     _, p, k, n = params
     seidel = seidel_matrix(params)
     factored = charpoly_closed(params)
-    closed = factored.expand()
-    oracle = charpoly_oracle(seidel)
-    top = max(closed.degree, oracle.degree)
-    diffs = tuple(
-        (deg, closed.coeff(deg), oracle.coeff(deg))
-        for deg in range(top + 1)
-        if closed.coeff(deg) != oracle.coeff(deg)
-    )
+    residual, roots = _charpoly_factored(seidel)
+    diffs: tuple[tuple[int, int, int], ...] = ()
+    # a negative exponent is no polynomial, and the expansion refuses it
+    if min(factored.e1, factored.e2) < 0 or not _same_product(factored, residual, roots):
+        # only a mismatch pays for expanding both sides into a diff
+        closed = factored.expand()
+        oracle = math.prod((_linear_power(r, e) for r, e in roots.items()), start=residual)
+        top = max(closed.degree, oracle.degree)
+        diffs = tuple(
+            (deg, closed.coeff(deg), oracle.coeff(deg))
+            for deg in range(top + 1)
+            if closed.coeff(deg) != oracle.coeff(deg)
+        )
     numeric = eig_numeric(seidel, tol)
     try:
         spectrum = spectrum_closed(params, tol)
@@ -132,17 +164,19 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
     # int64, as the entries are -1, 0 or 1 and n^2 < 2^63
     trace_sq = int(np.vdot(seidel, seidel))
     _, c1, c2, c3 = factored.cubic
+    oracle_degree, oracle_third = _degree_and_third(residual, roots)
+    closed_degree = factored.e1 + factored.e2 + UniPoly(factored.cubic).degree
     linear_sq = (1 - 2 * p) ** 2 * (k - 2) + (n - k - 1)
     invariants = InvariantResults(
         trace_zero=trace == 0,
         # the cubic's roots' squares sum to (c2^2 - 2*c1*c3)/c3^2; with the
         # linear factors' squares they must give tr S^2
         sum_squares=(
-            oracle.coeff(n - 2) == sum_sq_coeff
+            oracle_third == sum_sq_coeff
             and abs(sum(v * v for v in numeric) - n * (n - 1)) <= 1e-6
             and c3 * c3 * (linear_sq - trace_sq) + c2 * c2 - 2 * c1 * c3 == 0
         ),
-        degree=oracle.degree == n and closed.degree == n,
+        degree=oracle_degree == n and closed_degree == n,
         # the cubic's roots sum to -c2/c3, the linear factors' eigenvalues
         # to (1-2p)(k-2) + (n-k-1); together they must give tr S
         vieta_trace=c3 * ((1 - 2 * p) * (k - 2) + (n - k - 1) - trace) == c2,

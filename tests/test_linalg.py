@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -494,32 +495,171 @@ def test_deflation_matches_the_undeflated_path():
 
 
 def test_pivot_swap_and_empty_column_cases_reach_full_dimension(monkeypatch):
-    # the matrices of test_charpoly_pivot_swaps_and_empty_columns, which
-    # reach the Hessenberg code whole unless they have twins
-    cycles = {n: [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-              for n in (2, 3, 6)}
+    # the matrices of test_charpoly_pivot_swaps_and_empty_columns; the
+    # oracle may deflate them first (a zero matrix is one class with t = 0),
+    # so the undeflated path takes their pivot swaps and empty columns whole
+    cycles = [[[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+              for n in (2, 3, 6)]
     swapped = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
     whole = [zeros_matrix(n).tolist() for n in (1, 2, 5)]
     whole += [[[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
               for n in (2, 3, 6)]
-    whole += [
-        cycles[3],
-        cycles[6],
+    whole += cycles + [
+        swapped,
         [[1, 2, 3], [FIRST_PRIME, 4, 5], [6, 7, 8]],
         [[1, 2, 3, 4], [FIRST_PRIME, 0, 1, 2], [FIRST_PRIME, 1, 0, 2], [5, 6, 7, 8]],
         [[FIRST_PRIME, 1], [1, -FIRST_PRIME]],
     ]
     seen = hessenberg_dimensions(monkeypatch)
     for m in whole:
+        expected = det_exact(char_matrix(m))
         seen.clear()
-        assert charpoly_oracle(m) == det_exact(char_matrix(m))
+        assert linalg._charpoly_multimodular(np.array(m)) == expected
         assert seen and set(seen) == {len(m)}
-    # the 2-cycle is a twin pair and swapped is two (t = 1); the undeflated
-    # path still takes swapped's pivot swaps at full dimension
-    for m, cells in ((cycles[2], 1), (swapped, 2)):
-        seen.clear()
-        assert charpoly_oracle(m) == det_exact(char_matrix(m))
-        assert set(seen) == {cells}
-        seen.clear()
-        assert linalg._charpoly_multimodular(np.array(m)) == det_exact(char_matrix(m))
-        assert set(seen) == {len(m)}
+        assert charpoly_oracle(m) == expected
+    # a zero matrix deflates to one cell, with t = 0
+    seen.clear()
+    assert charpoly_oracle(zeros_matrix(5)) == (-X) ** 5
+    assert set(seen) == {1}
+
+
+def deflated_dimensions(monkeypatch, m):
+    """The Hessenberg dimensions the oracle reaches on m, after checking its
+    result against the undeflated path on the whole matrix."""
+    expected = linalg._charpoly_multimodular(linalg._integer_matrix(m))
+    seen = hessenberg_dimensions(monkeypatch)
+    assert charpoly_oracle(m) == expected
+    residual, roots = linalg._charpoly_factored(m)
+    assert sum(roots.values()) + residual.degree == len(m)
+    monkeypatch.undo()
+    return set(seen)
+
+
+def planted(diag, twin, between, sizes, order=None):
+    """Classes of the given sizes, each with its diagonal and twin entry t,
+    between[i][j] from every vertex of class i to every vertex of class j
+    (not necessarily symmetric), vertices listed in ``order``."""
+    cell = [i for i, size in enumerate(sizes) for _ in range(size)]
+    if order is not None:
+        cell = [cell[i] for i in order]
+    return [
+        [diag[cell[u]] if u == v else twin[cell[u]] if cell[u] == cell[v]
+         else between[cell[u]][cell[v]] for v in range(len(cell))]
+        for u in range(len(cell))
+    ]
+
+
+@st.composite
+def planted_general_twins(draw, max_dim=12, scale=1):
+    """Matrices of planted classes with t in {-3, 0, 2, 5}, non-symmetric
+    entries between classes, in shuffled order; one entry may then move."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    sizes: list[int] = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(min_value=1, max_value=n - sum(sizes))))
+    cells = range(len(sizes))
+    entry = st.integers(min_value=-4, max_value=4).map(lambda e: e * scale)
+    diag = [draw(entry) for _ in cells]
+    twin = [draw(st.sampled_from((-3, 0, 2, 5))) * scale for _ in cells]
+    between = [[draw(entry) for _ in cells] for _ in cells]
+    m = planted(diag, twin, between, sizes, draw(st.permutations(range(n))))
+    if draw(st.booleans()):
+        u, v = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        m[u][v] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return m
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(planted_general_twins())
+def test_fixed_point_deflation_matches_the_undeflated_path_property(m):
+    expected = linalg._charpoly_multimodular(np.array(m))
+    assert charpoly_oracle(m) == expected
+    assert charpoly_oracle(np.array(m, dtype=np.int64)) == expected
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(planted_general_twins(max_dim=9, scale=2**66))
+def test_fixed_point_deflation_beyond_2_63_property(m):
+    # Python-int entries stay Python ints: nothing wraps in the keys, the
+    # checks or the quotients
+    wide = np.array(m, dtype=object)
+    assert charpoly_oracle(wide) == linalg._charpoly_multimodular(wide)
+
+
+@pytest.mark.parametrize("t", [-3, 0, 2, 5])
+def test_planted_classes_deflate_for_any_twin_entry(t, monkeypatch):
+    # three classes of 3, 2 and 1 vertices, interleaved, non-symmetric
+    between = [[0, 7, -2], [1, 0, 7], [-2, 1, 0]]
+    m = planted([1, -2, 6], [t, t, t], between, [3, 2, 1], [5, 0, 3, 1, 4, 2])
+    assert deflated_dimensions(monkeypatch, m) == {3}
+    residual, roots = linalg._charpoly_factored(m)
+    assert roots == ({1 - t: 2, -2 - t: 1} if 1 - t != -2 - t else {1 - t: 3})
+    # entries beyond 2^63, as Python ints and on the object path
+    big = [[e * 2**64 + 3 for e in row] for row in m]
+    assert deflated_dimensions(monkeypatch, big) == {3}
+    assert deflated_dimensions(monkeypatch, np.array(big, dtype=object)) == {3}
+
+
+def test_classes_that_appear_only_in_the_quotients(monkeypatch):
+    # three groups of three cells of two vertices: cells are twins (t = 1);
+    # the cells of a group become twins only in the first quotient (t = 2*3
+    # from an entry of 3), and groups 0 and 1 only in the second (t = -2*2*3
+    # from an entry of -2 between them; both see group 2 alike, one way 5
+    # and the other way -1)
+    top = [[0, -2, 5], [-2, 0, 5], [-1, -1, 0]]
+    cells = [(g, c) for g in range(3) for c in range(3)]
+    between = [[3 if g == h else top[g][h] for h, _ in cells] for g, _ in cells]
+    m = planted([4] * 9, [1] * 9, between, [2] * 9)
+    assert deflated_dimensions(monkeypatch, m) == {2}
+    residual, roots = linalg._charpoly_factored(m)
+    # per cell 4 - 1; per group 5 - 6 (diagonal 4 + 1); groups 0 and 1 give
+    # 4 + 1 + 6*2 - (-12)
+    assert roots == {3: 9, -1: 6, 29: 1}
+    assert residual.degree == 2
+    # a constant hash key makes every vertex a candidate of every other
+    monkeypatch.setattr(linalg, "_twin_weights", lambda n: np.zeros(n, dtype=np.int64))
+    assert charpoly_oracle(m) == linalg._charpoly_multimodular(np.array(m))
+    assert linalg._charpoly_factored(m)[1] == roots
+
+
+def test_near_twins_do_not_deflate(monkeypatch):
+    # at most n distinct off-diagonal entries, so t = 5 is a candidate
+    base = [[2, 5, 1, 5], [5, 2, 1, 5], [1, 1, 0, 5], [5, 5, 1, -3]]
+    assert deflated_dimensions(monkeypatch, base) == {3}
+    twin_entry = [row[:] for row in base]
+    twin_entry[0][1] = 4  # t differs between the two directions
+    diagonal = [row[:] for row in base]
+    diagonal[1][1] = 3
+    rows_only = [row[:] for row in base]
+    rows_only[2][1] = 4  # columns 0 and 1 differ outside the pair
+    for m in (twin_entry, diagonal, rows_only, [list(c) for c in zip(*rows_only)]):
+        assert deflated_dimensions(monkeypatch, m) == {4}
+
+
+def test_sweep_grid_matrices_deflate_to_two_rows(monkeypatch):
+    # the quotient ends at 2 x 2: the k private classes are twins with t = p
+    # in the first quotient; with no common clique (p = h) at 1 x 1
+    seen = hessenberg_dimensions(monkeypatch)
+    for h in range(2, 8):
+        for p in range(1, h + 1):
+            for k in range(2, 6):
+                if h + (k - 1) * p > 40:
+                    continue
+                seen.clear()
+                s = seidel_matrix(make_params(h, p, k))
+                residual, roots = linalg._charpoly_factored(s)
+                assert set(seen) == ({1} if p == h else {2}), (h, p, k)
+                assert roots.get(1 - 2 * p) == k - 1
+
+
+def test_oracle_on_3000_rows_copies_row_blocks_only():
+    # one class of 2998 vertices; the check's copies stay O(n * block)
+    s = seidel_matrix(make_params(2999, 1, 2))
+    tracemalloc.start()
+    residual, roots = linalg._charpoly_factored(s)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert roots == {1: 2997, -1: 1} and residual.degree == 2
+    assert peak < 16 * 2**20

@@ -6,6 +6,7 @@ import pytest
 from seidelspectra.errors import InvalidParams, NotSymmetric, UnsupportedShape
 from seidelspectra.family import make_params, seidel_matrix
 from seidelspectra.linalg import identity_matrix, ones_matrix
+from seidelspectra.polynomial import UniPoly
 from seidelspectra.verify import (
     N_MAX,
     InvariantResults,
@@ -261,3 +262,92 @@ def test_verify_refuses_n_above_n_max_before_building(h, monkeypatch):
     # n = N_MAX itself gets as far as building its matrix
     with pytest.raises(AssertionError, match="a matrix was built"):
         verify_instance(make_params(N_MAX - 1, 1, 2))
+
+
+def sweep_grid():
+    return [make_params(h, p, k) for h in range(2, 8) for p in range(1, h + 1)
+            for k in range(2, 6) if h + (k - 1) * p <= 40]
+
+
+def expanded_diffs(closed, oracle):
+    """The coefficient diff as the expanded comparison computes it."""
+    top = max(closed.degree, oracle.degree)
+    return tuple((deg, closed.coeff(deg), oracle.coeff(deg)) for deg in range(top + 1)
+                 if closed.coeff(deg) != oracle.coeff(deg))
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_factored_comparison_agrees_with_the_expanded_one(shift):
+    from seidelspectra import verify
+    from seidelspectra.closedform import charpoly_closed
+    from seidelspectra.linalg import _charpoly_factored, charpoly_oracle
+
+    grid = sweep_grid()
+    assert len(grid) == 108
+    for params in grid:
+        fac = charpoly_closed(params)
+        c0, c1, c2, c3 = fac.cubic
+        # shift 1 moves the cubic's constant: every verdict becomes a mismatch
+        fac = fac._replace(cubic=(c0 + shift, c1, c2, c3))
+        s = seidel_matrix(params)
+        residual, roots = _charpoly_factored(s)
+        oracle = charpoly_oracle(s)
+        same = verify._same_product(fac, residual, roots)
+        assert same is (fac.expand() == oracle) is (shift == 0), params
+        degree, third = verify._degree_and_third(residual, roots)
+        assert degree == oracle.degree == params.n
+        assert third == oracle.coeff(params.n - 2)
+
+
+def test_factored_comparison_cancels_roots_split_between_factors():
+    from seidelspectra.closedform import FactoredCharPoly, charpoly_closed
+    from seidelspectra.linalg import _charpoly_factored
+    from seidelspectra.polynomial import X
+    from seidelspectra.verify import _same_product
+
+    q = X * X - 3 * X + 7  # no integer root
+    # (2 - x)^3 (1 - x)^4 q: the closed side holds one root 2 in its cubic
+    fac = FactoredCharPoly(2, 2, 1, 4, ((2 - X) * q).coeffs)
+    assert _same_product(fac, q, {1: 4, 2: 3})
+    assert _same_product(fac._replace(e1=3, cubic=(q * (1 - X)).coeffs), q, {1: 5, 2: 3})
+    assert not _same_product(fac, q, {1: 4, 2: 2})
+    assert not _same_product(fac, q * (2 - X), {1: 4, 2: 3})
+    assert not _same_product(fac, q * 2, {1: 4, 2: 3})
+    # the family's own case: s(1 - 2p) = 0, so the closed side keeps one
+    # (1 - 2p - x) in its cubic that the oracle holds as a linear factor
+    params = make_params(15, 3, 11)
+    fac = charpoly_closed(params)
+    residual, roots = _charpoly_factored(seidel_matrix(params))
+    assert UniPoly(fac.cubic)(fac.root1) == 0 and residual.degree == 2
+    assert roots == {fac.root1: fac.e1 + 1, fac.root2: fac.e2}
+    assert _same_product(fac, residual, roots)
+
+
+@pytest.mark.parametrize("field, shift", [
+    ("cubic", (1, 0, 0, 0)), ("cubic", (0, 0, -1, 0)), ("cubic", (0, 0, 0, 1)),
+    ("root1", 1), ("root2", -1), ("e1", 1), ("e2", 1), ("e2", -1),
+])
+def test_failing_reports_keep_the_expanded_diff(field, shift, monkeypatch):
+    from seidelspectra import verify
+    from seidelspectra.linalg import charpoly_oracle
+
+    real = verify.charpoly_closed
+
+    def moved(params):
+        fac = real(params)
+        if field == "cubic":
+            return fac._replace(cubic=tuple(c + d for c, d in zip(fac.cubic, shift)))
+        return fac._replace(**{field: getattr(fac, field) + shift})
+
+    monkeypatch.setattr(verify, "charpoly_closed", moved)
+    for params in [make_params(h, p, k) for h in range(2, 5)
+                   for p in range(1, h + 1) for k in range(2, 4)]:
+        fac = moved(params)
+        if min(fac.e1, fac.e2) < 0:
+            with pytest.raises(ValueError, match="polynomial exponent"):
+                verify_instance(params)
+            continue
+        expected = expanded_diffs(fac.expand(), charpoly_oracle(seidel_matrix(params)))
+        report = verify_instance(params)
+        assert report.coefficient_diffs == expected
+        assert report.charpoly_exact_match is (expected == ())
