@@ -210,6 +210,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
+    if params.n > N_MAX:
+        raise UnsupportedShape(f"n = {params.n} is above N_MAX = {N_MAX}")
     edges = signed_edges(params)
     if args.format == "json":
         payload = {

@@ -252,14 +252,9 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _primes_below_2_31():
-    """Odd primes below 2^31, descending from 2^31 - 1, generated on demand."""
-    return filter(_is_prime, range((1 << 31) - 1, 1, -2))
-
-
 @functools.cache
 def _prime(i: int) -> int:
-    """The i-th of _primes_below_2_31(), each searched for once per process."""
+    """The i-th odd prime below 2^31, descending, each searched for once per process."""
     start = (1 << 31) - 1 if i == 0 else _prime(i - 1) - 2
     return next(filter(_is_prime, range(start, 1, -2)))
 

@@ -350,6 +350,8 @@ def _strict_json(text):
     ["verify", "--h", str(10**400), "--p", "1", "--k", "2"],
     ["charpoly", "--h", "3000", "--p", "1", "--k", "2", "--expanded"],
     ["charpoly", "--h", "3000", "--p", "1", "--k", "2", "--expanded", "--format", "json"],
+    ["export", "--h", "3000", "--p", "1", "--k", "2"],
+    ["export", "--h", str(10**400), "--p", "1", "--k", "2", "--format", "json"],
 ])
 def test_n_above_n_max_is_refused_before_any_work(argv, capsys, monkeypatch):
     import time
@@ -357,10 +359,12 @@ def test_n_above_n_max_is_refused_before_any_work(argv, capsys, monkeypatch):
     from seidelspectra import closedform, verify
 
     def no_work(*args):
-        raise AssertionError("a matrix or an expansion was started")
+        raise AssertionError("a matrix, an edge list or an expansion was started")
 
     monkeypatch.setattr(verify, "seidel_matrix", no_work)
     monkeypatch.setattr(closedform.FactoredCharPoly, "expand", no_work)
+    monkeypatch.setattr(cli, "signed_edges", no_work)
+    monkeypatch.setattr(cli, "vertex_labels", no_work)
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0

@@ -1,6 +1,9 @@
+import importlib
 import itertools
 import json
 import math
+import pathlib
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +12,10 @@ from hypothesis import given, seed, strategies as st
 
 from seidelspectra import cubic
 from seidelspectra.cli import main
+from seidelspectra.closedform import cubic_s
 from seidelspectra.cubic import cubic_discriminant, cubic_root_values
 from seidelspectra.errors import ComplexRoots, DegenerateLeading, InternalError
+from seidelspectra.family import make_params
 from seidelspectra.polynomial import UniPoly, X
 
 
@@ -214,27 +219,92 @@ def test_irrational_roots_with_coefficients_beyond_2_53(big):
     assert abs(Fraction(top) - exact) <= Fraction(top) * 2**-52
 
 
-def test_exact_evaluations_grow_with_bit_length(monkeypatch):
-    real = cubic._value
+@pytest.fixture
+def evaluations(monkeypatch):
+    """A function that solves a cubic afresh and returns how many exact
+    evaluations of t, t', t_m and t_m' the solve made."""
     calls = []
+    for name in ("_value", "_slope"):
+        real = getattr(cubic, name)
+        monkeypatch.setattr(cubic, name, lambda t, y, real=real: calls.append(y) or real(t, y))
 
-    def counting(t, y):
-        calls.append(y)
-        return real(t, y)
-
-    monkeypatch.setattr(cubic, "_value", counting)
-    cases = [
-        (609563274996962308817466, 24689950597310074067, 11344962968, -1),
-        _cubic_from_roots(6, (2, 3, 1), (2**100 + 1, -(2**99), 3)),
-    ] + [
-        tuple((-1 * (X - 2**bits - 1) * (X**2 - 3 * 2**bits)).coeff(i) for i in range(4))
-        for bits in (64, 256, 1024)
-    ]
-    for coeffs in cases:
+    def count(coeffs):
         calls.clear()
         cubic._solve_cached.cache_clear()
         cubic_root_values(coeffs)
-        assert 0 < len(calls) <= 4 * max(abs(c) for c in coeffs).bit_length()
+        return len(calls)
+
+    return count
+
+
+# wide coefficients: up to 2^80, 2^100-sized rational roots, and
+# -(x - 2^b - 1)(x^2 - 3 * 2^b) for b up to 1024
+_WIDE_CUBICS = [
+    (609563274996962308817466, 24689950597310074067, 11344962968, -1),
+    _cubic_from_roots(6, (2, 3, 1), (2**100 + 1, -(2**99), 3)),
+] + [
+    tuple((-1 * (X - 2**bits - 1) * (X**2 - 3 * 2**bits)).coeff(i) for i in range(4))
+    for bits in (64, 256, 1024)
+]
+
+
+def test_exact_evaluations_are_logarithmic_in_bit_length(evaluations):
+    # bisection took 2.5 to 3 evaluations per bit of the largest
+    # coefficient, from 241 to 5127 on these cubics
+    for coeffs in _WIDE_CUBICS:
+        assert 0 < evaluations(coeffs) <= 64
+
+
+@pytest.fixture(scope="module")
+def closed_form_cubics():
+    """The cubics of perfbench's closed-form queries for seed 1."""
+    perfbench = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(perfbench)
+    return [cubic_s(make_params(*query)) for query in workloads.closed_form_queries(1)]
+
+
+def test_closed_form_solves_take_few_evaluations(evaluations, closed_form_cubics):
+    counts = [evaluations(coeffs) for coeffs in closed_form_cubics]
+    assert len(counts) >= 200 and sum(counts) <= 24 * len(counts)
+    assert evaluations(cubic_s(make_params(10**300, 3, 7))) <= 64
+
+
+_POOR_ESTIMATES = {
+    "nan": lambda good: [(math.nan, 0)] * 3,
+    "inf": lambda good: [(math.inf, 0), (-math.inf, 0), (math.inf, 0)],
+    "zero": lambda good: [(0.0, 0)] * 3,
+    "up_1e6": lambda good: [(u + math.ldexp(1e6, -e), e) for u, e in good],
+    "down_1e6": lambda good: [(u - math.ldexp(1e6, -e), e) for u, e in good],
+    "times_1e6": lambda good: [(u * 1e6, e) for u, e in good],
+    "wrong_stretch": lambda good: good[1:] + good[:1],
+    "reversed": lambda good: good[::-1],
+}
+
+
+def test_estimates_only_steer(monkeypatch, closed_form_cubics):
+    cases = closed_form_cubics + _WIDE_CUBICS + [
+        _cubic_from_roots(2, (1, 1, 1), (3, 3, -5)),
+        _cubic_from_roots(1, (2, 2, 1), (1, 1, -1)),
+        _cubic_from_roots(1, (2, 2, 2), (-3, -3, -3)),
+        _cubic_from_roots(-1, (1, 1, 1), (2**70, 2**70, 1)),
+        (-2, -10, -12, 1),
+        (-2, 10, -12, -1),
+        tuple((-1 * (X - 7) * (X**2 - 2**160 - 7)).coeff(i) for i in range(4)),
+        cubic_s(make_params(10**105, 7, 3)),
+        cubic_s(make_params(10**300, 3, 7)),
+    ]
+    cubic._solve_cached.cache_clear()
+    expected = [repr(cubic_root_values(coeffs)) for coeffs in cases]
+    good = cubic._estimate
+    for name, poor in _POOR_ESTIMATES.items():
+        monkeypatch.setattr(cubic, "_estimate", lambda t, poor=poor: poor(good(t)))
+        cubic._solve_cached.cache_clear()
+        assert [repr(cubic_root_values(coeffs)) for coeffs in cases] == expected, name
+    cubic._solve_cached.cache_clear()
 
 
 def test_gate_query_agrees_with_numpy(capsys):

@@ -167,8 +167,13 @@ def test_charpoly_entries_above_2_64(rng):
         assert charpoly_oracle(m) == det_exact(char_matrix(m))
 
 
+def primes_below_2_31():
+    """Odd primes below 2^31, descending from 2^31 - 1: the reference for linalg._prime."""
+    return filter(linalg._is_prime, range((1 << 31) - 1, 1, -2))
+
+
 def test_charpoly_pivot_swaps_and_empty_columns():
-    assert next(linalg._primes_below_2_31()) == FIRST_PRIME
+    assert next(primes_below_2_31()) == FIRST_PRIME
     for n in (1, 2, 5):
         assert charpoly_oracle(zeros_matrix(n)) == (-X) ** n
     for n in (2, 3, 6):
@@ -202,7 +207,7 @@ def test_charpoly_needing_several_primes(rng):
 
 
 def test_prime_cache_matches_the_generator():
-    expected = list(itertools.islice(linalg._primes_below_2_31(), 600))
+    expected = list(itertools.islice(primes_below_2_31(), 600))
     linalg._prime.cache_clear()
     assert [linalg._prime(i) for i in range(600)] == expected
 
