@@ -18,7 +18,7 @@ from .closedform import CubicRoot, charpoly_closed, cubic_s, spectrum_closed
 from .errors import DegenerateFamily, InvalidParams, UnsupportedShape
 from .family import make_params, signed_edges, vertex_labels
 from .polynomial import UniPoly
-from .verify import DEFAULT_N_CAP, N_MAX, discrepancy_notes, sweep, verify_instance
+from .verify import DEFAULT_N_CAP, DENSE_N_MAX, discrepancy_notes, sweep, verify_instance
 
 N_CAP_ENV = "SEIDELSPECTRA_N_CAP"
 
@@ -78,8 +78,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_charpoly(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
-    if args.expanded and params.n > N_MAX:
-        raise UnsupportedShape(f"n = {params.n} is above N_MAX = {N_MAX}")
+    if args.expanded and params.n > DENSE_N_MAX:
+        raise UnsupportedShape(f"n = {params.n} is above DENSE_N_MAX = {DENSE_N_MAX}")
     fac = charpoly_closed(params)
     cubic_poly = UniPoly(fac.cubic)
     if args.format == "json":
@@ -131,6 +131,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ],
             "notes": list(discrepancy_notes()),
         }
+        if report.numeric_skipped:
+            payload["numeric_referee"] = "skipped"
         print(json.dumps(payload))
         return 0 if ok else 1
     print(f"h={params.h} p={params.p} k={params.k} n={params.n}")
@@ -140,7 +142,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print("eigenvalues (closed form):")
     for value, mult in eigenvalues:
         print(f"  {_fmt_value(value)}  x{mult}")
-    print(f"max numeric deviation: {report.spectrum_max_deviation:.3e}")
+    print(f"numeric referee: skipped (n > DENSE_N_MAX = {DENSE_N_MAX})" if report.numeric_skipped
+          else f"max numeric deviation: {report.spectrum_max_deviation:.3e}")
     flags = " ".join(
         f"{name}={'pass' if value else 'FAIL'}"
         for name, value in zip(report.invariant_results._fields,
@@ -177,6 +180,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "exact_match": r.charpoly_exact_match,
                 "max_dev": _json_deviation(r.spectrum_max_deviation),
                 "elapsed_ms": r.elapsed * 1000.0,
+                **({"numeric_referee": "skipped"} if r.numeric_skipped else {}),
             }
             for r in summary.reports
         ]
@@ -189,9 +193,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines = ["h,p,k,n,exact_match,max_dev,elapsed_ms"]
         for r in summary.reports:
             match = "true" if r.charpoly_exact_match else "false"
+            dev = "skipped" if r.numeric_skipped else f"{r.spectrum_max_deviation:.12g}"
             lines.append(
                 f"{r.params.h},{r.params.p},{r.params.k},{r.params.n},"
-                f"{match},{r.spectrum_max_deviation:.12g},{r.elapsed * 1000.0:.3f}"
+                f"{match},{dev},{r.elapsed * 1000.0:.3f}"
             )
         text = "\n".join(lines) + "\n"
     summary_line = (
@@ -210,8 +215,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
-    if params.n > N_MAX:
-        raise UnsupportedShape(f"n = {params.n} is above N_MAX = {N_MAX}")
+    if params.n > DENSE_N_MAX:
+        raise UnsupportedShape(f"n = {params.n} is above DENSE_N_MAX = {DENSE_N_MAX}")
     edges = signed_edges(params)
     if args.format == "json":
         payload = {

@@ -88,7 +88,7 @@ def clique_vertices(params: FamilyParams, j: int) -> tuple[int, ...]:
 
 
 def _block_matrix(params: FamilyParams, inside: int, outside: int) -> Matrix:
-    """int64 matrix, zero diagonal: ``inside`` within a clique, ``outside`` elsewhere.
+    """int8 matrix, zero diagonal: ``inside`` within a clique, ``outside`` elsewhere.
 
     Filled by block slicing in the fixed vertex order: private blocks,
     their coupling to the hub's common slice, the hub, then the diagonal.
@@ -96,7 +96,7 @@ def _block_matrix(params: FamilyParams, inside: int, outside: int) -> Matrix:
     h, p, k, n = params
     hub = (k - 1) * p
     common = slice(hub, n - p)
-    out = np.full((n, n), outside, dtype=np.int64)
+    out = np.full((n, n), outside, dtype=np.int8)
     block = np.arange(hub) // p
     out[:hub, :hub][block[:, None] == block] = inside
     out[:hub, common] = inside
@@ -107,7 +107,7 @@ def _block_matrix(params: FamilyParams, inside: int, outside: int) -> Matrix:
 
 
 def adjacency_matrix(params: FamilyParams) -> Matrix:
-    """0/1 adjacency matrix of the union of the k overlapping cliques, as int64.
+    """0/1 adjacency matrix of the union of the k overlapping cliques, as int8.
 
     Block structure under the fixed ordering: k-1 diagonal K_p blocks for
     the private vertices, zero blocks between different cliques' private
@@ -118,12 +118,12 @@ def adjacency_matrix(params: FamilyParams) -> Matrix:
 
 
 def seidel_matrix(params: FamilyParams) -> Matrix:
-    """S = J - I - 2*A in int64: zero diagonal, -1 on edges of the union, +1 elsewhere."""
+    """S = J - I - 2*A in int8: zero diagonal, -1 on edges of the union, +1 elsewhere."""
     return _block_matrix(params, -1, 1)
 
 
 def x_prime_matrix(params: FamilyParams) -> Matrix:
-    """The (k-1)p x h int64 coupling block of the Seidel matrix.
+    """The (k-1)p x h int8 coupling block of the Seidel matrix.
 
     Rows are identical: -1 in the h-p common-clique columns (those pairs
     are negative edges), +1 in the p columns of clique k's private
@@ -132,7 +132,7 @@ def x_prime_matrix(params: FamilyParams) -> Matrix:
     """
     if params.k < 2:
         raise DegenerateFamily(f"k = {params.k}: no coupling block exists for k < 2")
-    out = np.ones(((params.k - 1) * params.p, params.h), dtype=np.int64)
+    out = np.ones(((params.k - 1) * params.p, params.h), dtype=np.int8)
     out[:, : params.h - params.p] = -1
     return out
 

@@ -1,8 +1,9 @@
 """Exact dense linear algebra on numpy arrays.
 
-Integer matrices that fit in 64 bits, such as the family's Seidel
-matrices, are signed int64 arrays, which :func:`charpoly_oracle` and
-:func:`trace_exact` take after a dtype check alone.  Other matrices are
+Integer matrices that fit in 64 bits, such as the family's int8 Seidel
+matrices, are signed-integer arrays, never widened whole, which
+:func:`charpoly_oracle` and :func:`trace_exact` take after a dtype check
+alone.  Other matrices are
 object arrays of Python ints, ``fractions.Fraction`` values or
 :class:`~seidelspectra.polynomial.UniPoly`, made by :func:`exact_matrix`
 where big-int, rational or polynomial arithmetic needs them; nothing in
@@ -40,9 +41,8 @@ import numpy as np
 from .errors import InternalError, SingularBlock, SingularInput
 from .polynomial import UniPoly, X, _exact, _linear_power
 
-#: Matrices in this package are 2-d numpy arrays: signed int64 for integer
-#: matrices built from the family's block layout, dtype=object with exact
-#: entries everywhere else.
+#: Matrices in this package are 2-d numpy arrays: signed integers (int8 for
+#: the family's block layout), dtype=object with exact entries everywhere else.
 Matrix = np.ndarray
 
 Entry = Union[int, Fraction, UniPoly]
@@ -324,18 +324,16 @@ def _charpoly_hessenberg_mod(h: np.ndarray, prime: int) -> np.ndarray:
 
 
 def _integer_matrix(m: object) -> Matrix:
-    """m as a square int64 array, or as an object array of Python ints.
+    """m as a square signed-integer array, or as an object array of Python ints.
 
-    Signed-integer arrays pass on a dtype check alone.  Other input goes
-    through :func:`exact_matrix` and stays Python ints when an entry does
+    Signed-integer arrays pass on a dtype check alone, unwidened.  Other input
+    goes through :func:`exact_matrix` and stays Python ints when an entry does
     not fit int64 (uint64 from 2^63 up, large Python ints): nothing wraps.
     """
     a = _checked_matrix(m)
-    if a.dtype.kind == "i":
-        a = a.astype(np.int64, copy=False)
-    elif not all(isinstance(e, int) for e in a.flat):
-        raise TypeError("charpoly_oracle expects integer entries")
-    else:
+    if a.dtype.kind != "i":
+        if not all(isinstance(e, int) for e in a.flat):
+            raise TypeError("charpoly_oracle expects integer entries")
         a = _int64_if_fits(a)
     _require_square(a, "characteristic polynomial")
     return a
@@ -347,13 +345,25 @@ def _int64_if_fits(a: Matrix) -> Matrix:
     return a.astype(np.int64) if fits else a
 
 
+@functools.lru_cache(maxsize=64)
 def _twin_weights(n: int) -> np.ndarray:
-    """Fixed hash weights for grouping rows; they set speed, never the answer."""
-    return np.arange(1, n + 1, dtype=np.int64) * 2654435761 % ((1 << 20) - 3) + 1
+    """Fixed hash weights for grouping rows, shared and read-only; they set
+    speed, never the answer."""
+    weights = np.arange(1, n + 1, dtype=np.int64) * 2654435761 % ((1 << 20) - 3) + 1
+    weights.flags.writeable = False
+    return weights
 
 
 #: Twin detection reads the matrix in blocks of about this many entries.
-_TWIN_BLOCK_ENTRIES = 1 << 18
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(a: Matrix) -> list[Matrix]:
+    """Views of whole rows of a, about _BLOCK_ENTRIES entries and at least one row each."""
+    if a.size <= _BLOCK_ENTRIES:
+        return [a]
+    step = max(1, _BLOCK_ENTRIES // a.shape[1])
+    return [a[start:start + step] for start in range(0, a.shape[0], step)]
 
 
 def _twin_values(a: Matrix) -> Sequence[int]:
@@ -365,9 +375,8 @@ def _twin_values(a: Matrix) -> Sequence[int]:
     if high - low <= 2:
         return range(low, high + 1)
     counts: Counter[int] = Counter()
-    step = max(1, _TWIN_BLOCK_ENTRIES // n)
-    for start in range(0, n, step):
-        counts.update(a[start:start + step].ravel().tolist())
+    for rows in _row_blocks(a):
+        counts.update(rows.ravel().tolist())
         if len(counts) > 2 * n:  # more than n left without the diagonal
             return (-1, 0, 1)
     counts.subtract(np.diagonal(a).tolist())
@@ -379,48 +388,57 @@ def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
     """One deflation pass: a's twin quotient B and {root: exponent}, or None.
 
     Twins u, v have equal diagonals d, the entry t both ways between them
-    and equal rows and columns outside {u, v}.  Per candidate t, a row hash
-    (int64, it may wrap) that is symmetric in a twin pair sorts the
-    vertices; a vertex that ties with the one before it is checked exactly
-    against it, in row blocks, so the hash sets speed, never the answer.
-    No vertex is a twin for two values of t (u ~ v for t and u ~ w for t'
-    make a[w, v] both t and t').  B[i, j] = a[rep_i, rep_j] * |C_j| and
-    B[i, i] = d_i + t_i * (|C_i| - 1) are built on Python ints.
+    and equal rows and columns outside {u, v}; for one t that is an
+    equivalence.  Per candidate t, a row hash (int64, it may wrap) that is
+    symmetric in a twin pair sorts the vertices, ties by diagonal; each
+    vertex of a run of ties is checked exactly against the run's first, in
+    row blocks, and the run's rest again against its own first, so the
+    hash sets speed, never the answer.  No vertex is a twin for two values
+    of t (u ~ v for t and u ~ w for t' make a[w, v] both t and t').
+    B[i, j] = a[rep_i, rep_j] * |C_j| and B[i, i] = d_i + t_i * (|C_i| - 1)
+    are built on Python ints.
     """
     n = a.shape[0]
     diagonal = np.diagonal(a)
     if len(set(diagonal.tolist())) == n:  # twins share a diagonal entry
         return None
-    weights = _twin_weights(n).astype(a.dtype)
-    # adding t * weights to this row hash puts t on the diagonal
-    off_diagonal = a @ weights - diagonal * weights
+    weights = _twin_weights(n).astype(object if a.dtype == object else np.int64, copy=False)
+    # adding t * weights to this row hash puts t on the diagonal; @ widens
+    # a whole and einsum in buffers, so @ only serves a small a
+    row_hash = a @ weights if a.size <= _BLOCK_ENTRIES else np.einsum("ij,j->i", a, weights)
+    off_diagonal = row_hash - diagonal * weights
     head = np.arange(n)  # lowest index of each vertex's cell
     twin = np.zeros(n, dtype=a.dtype)  # the cell's t, 0 for a singleton
-    step = max(1, _TWIN_BLOCK_ENTRIES // n)
     for value in _twin_values(a):
         keys = off_diagonal + value * weights
-        order = np.argsort(keys, kind="stable")  # ascending index among ties
-        ranked = keys[order]
-        tied = np.zeros(n, dtype=bool)  # ties with the vertex sorted before it
-        tied[1:] = ranked[1:] == ranked[:-1]
-        if not tied.any():
-            continue
-        in_run = tied.copy()
-        in_run[:-1] |= tied[1:]
-        chain = order[in_run]
-        u, v = chain[:-1], chain[1:]
-        linked = tied[in_run][1:] & (a[u, v] == value) & (a[v, u] == value)
-        linked &= diagonal[u] == diagonal[v]
-        # then twins' columns, and their rows, differ in rows u and v alone,
-        # where d != t
-        for view in (a, a.T):
-            blocks = (view[start:start + step, chain] for start in range(0, n, step))
-            differ = sum((b[:, 1:] != b[:, :-1]).sum(axis=0) for b in blocks)
-            linked &= differ == 2 * (diagonal[u] != value)
-        # a stretch of linked vertices is one cell, headed by its first vertex
-        run = np.maximum.accumulate(np.where(linked, 0, np.arange(1, chain.size)))
-        head[v[linked]] = chain[run[linked]]
-        twin[chain[run[linked]]] = value
+        chain = np.lexsort((diagonal, keys))  # by key, then diagonal, then index
+        ranked = keys[chain]
+        same = np.concatenate(([False], ranked[1:] == ranked[:-1]))  # tied with the one before
+        while same.any():
+            in_run = same.copy()
+            in_run[:-1] |= same[1:]
+            chain, same = chain[in_run], same[in_run]
+            lead = np.maximum.accumulate(np.where(same, 0, np.arange(chain.size)))
+            u = chain[lead]  # the run's first vertex
+            linked = same & (a[u, chain] == value) & (a[chain, u] == value)
+            linked &= diagonal[u] == diagonal[chain]
+            # then twins' columns, and their rows, differ in their own two
+            # rows alone, where d != t
+            expected = 2 * (diagonal[chain] != value)
+            for view in (a, a.T):
+                differ = 0
+                for rows in _row_blocks(view):
+                    b = rows[:, chain]
+                    differ = differ + (b != b[:, lead]).sum(axis=0)
+                linked &= differ == expected
+            head[chain[linked]] = u[linked]
+            twin[u[linked]] = value
+            # what is left of a run is checked again against its own first
+            left = same & ~linked
+            if not left.any():
+                break
+            chain, lead = chain[left], lead[left]
+            same = np.concatenate(([False], lead[1:] == lead[:-1]))
     reps = np.flatnonzero(head == np.arange(n))
     if reps.size == n:
         return None
@@ -458,9 +476,11 @@ def _charpoly_multimodular(a: Matrix) -> UniPoly:
     bound = _coefficient_bound(a)
     coeffs = [0] * (n + 1)
     modulus = 1
+    # a 31-bit prime fits no narrower dtype than int64
+    wide = a if a.dtype == object else a.astype(np.int64, copy=False)
     for prime in map(_prime, itertools.count()):
         # object entries beyond int64 are reduced as Python ints
-        reduced = (a % prime).astype(np.int64, copy=False)
+        reduced = (wide % prime).astype(np.int64, copy=False)
         residues = _charpoly_hessenberg_mod(_hessenberg_mod(reduced, prime), prime)
         # Garner step: lift each coefficient from mod modulus to mod modulus*prime
         lift = pow(modulus, -1, prime)

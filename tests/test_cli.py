@@ -7,6 +7,7 @@ import pytest
 
 from seidelspectra import cli
 from seidelspectra.cli import N_CAP_ENV, main, run
+from seidelspectra.verify import DENSE_N_MAX, N_MAX
 
 CSV_HEADER = "h,p,k,n,exact_match,max_dev,elapsed_ms"
 
@@ -344,13 +345,15 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+# h = cap gives n = cap + 1 with p = 1, k = 2
 @pytest.mark.parametrize("argv", [
-    ["verify", "--h", "3000", "--p", "1", "--k", "2"],
-    ["verify", "--h", "3000", "--p", "1", "--k", "2", "--format", "json"],
+    ["verify", "--h", str(N_MAX), "--p", "1", "--k", "2"],
+    ["verify", "--h", str(N_MAX), "--p", "1", "--k", "2", "--format", "json"],
     ["verify", "--h", str(10**400), "--p", "1", "--k", "2"],
-    ["charpoly", "--h", "3000", "--p", "1", "--k", "2", "--expanded"],
-    ["charpoly", "--h", "3000", "--p", "1", "--k", "2", "--expanded", "--format", "json"],
-    ["export", "--h", "3000", "--p", "1", "--k", "2"],
+    ["charpoly", "--h", str(DENSE_N_MAX), "--p", "1", "--k", "2", "--expanded"],
+    ["charpoly", "--h", str(DENSE_N_MAX), "--p", "1", "--k", "2", "--expanded",
+     "--format", "json"],
+    ["export", "--h", str(DENSE_N_MAX), "--p", "1", "--k", "2"],
     ["export", "--h", str(10**400), "--p", "1", "--k", "2", "--format", "json"],
 ])
 def test_n_above_n_max_is_refused_before_any_work(argv, capsys, monkeypatch):
@@ -370,12 +373,49 @@ def test_n_above_n_max_is_refused_before_any_work(argv, capsys, monkeypatch):
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "N_MAX = 3000" in captured.err
+    cap = f"N_MAX = {N_MAX}" if argv[0] == "verify" else f"DENSE_N_MAX = {DENSE_N_MAX}"
+    assert f"is above {cap}\n" in captured.err
 
 
 def test_factored_charpoly_above_n_max_still_prints(capsys):
-    assert main(["charpoly", "--h", "3000", "--p", "1", "--k", "2"]) == 0
-    assert "(1 - x)^2998" in capsys.readouterr().out
+    h = DENSE_N_MAX
+    assert main(["charpoly", "--h", str(h), "--p", "1", "--k", "2"]) == 0
+    assert f"(1 - x)^{h - 2}" in capsys.readouterr().out
+
+
+def test_verify_marks_a_skipped_numeric_referee(capsys):
+    argv = ["verify", "--h", str(DENSE_N_MAX), "--p", "1", "--k", "2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "charpoly exact match: yes" in out.splitlines()
+    assert f"numeric referee: skipped (n > DENSE_N_MAX = {DENSE_N_MAX})" in out.splitlines()
+    assert "max numeric deviation" not in out
+    assert main([*argv, "--format", "json"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["numeric_referee"] == "skipped"
+    assert payload["spectrum_max_deviation"] is None
+    assert payload["charpoly_exact_match"] and all(payload["invariants"].values())
+    # at n <= DENSE_N_MAX the key is absent
+    assert main(["verify", *FAMILY, "--format", "json"]) == 0
+    assert "numeric_referee" not in _strict_json(capsys.readouterr().out)
+
+
+def test_sweep_rows_mark_a_skipped_numeric_referee(capsys, monkeypatch):
+    from seidelspectra import verify
+
+    monkeypatch.setattr(verify, "DENSE_N_MAX", 6)
+    assert main(["sweep", "--h-max", "3", "--k-max", "3"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert {int(r[3]) > 6 for r in rows} == {True, False}
+    for row in rows:
+        assert (row[5] == "skipped") is (int(row[3]) > 6)
+    assert captured.err == f"{len(rows)} passed, 0 failed, 0 skipped\n"
+    assert main(["sweep", "--h-max", "3", "--k-max", "3", "--format", "json"]) == 0
+    for row in _strict_json(capsys.readouterr().out):
+        skipped = row["n"] > 6
+        assert (row.get("numeric_referee") == "skipped") is skipped
+        assert (row["max_dev"] is None) is skipped
 
 
 def _outcome(capsys, argv, fresh=False):

@@ -174,7 +174,7 @@ def test_signed_edges():
     assert [(i, j) for i, j, s in star if s == -1] == [(0, 2), (1, 2), (2, 3)]
 
 
-def test_int64_matrices_match_the_clique_union_definition():
+def test_int8_matrices_match_the_clique_union_definition():
     for params in grid():
         n = params.n
         adjacency = np.zeros((n, n), dtype=np.int64)
@@ -184,8 +184,8 @@ def test_int64_matrices_match_the_clique_union_definition():
         np.fill_diagonal(adjacency, 0)
         a = adjacency_matrix(params)
         s = seidel_matrix(params)
-        assert a.dtype == s.dtype == np.int64
+        assert a.dtype == s.dtype == np.int8
         assert np.array_equal(a, adjacency)
         definition = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64) - 2 * adjacency
         assert np.array_equal(s, definition)
-    assert x_prime_matrix(make_params(4, 1, 3)).dtype == np.int64
+    assert x_prime_matrix(make_params(4, 1, 3)).dtype == np.int8

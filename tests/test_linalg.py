@@ -660,11 +660,77 @@ def test_sweep_grid_matrices_deflate_to_two_rows(monkeypatch):
 
 
 def test_oracle_on_3000_rows_copies_row_blocks_only():
-    # one class of 2998 vertices; the check's copies stay O(n * block)
-    s = seidel_matrix(make_params(2999, 1, 2))
-    tracemalloc.start()
-    residual, roots = linalg._charpoly_factored(s)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert roots == {1: 2997, -1: 1} and residual.degree == 2
-    assert peak < 16 * 2**20
+    # the hash, the checks and the sums read the int8 matrix in blocks of
+    # rows, widened to int64 one block at a time: never an n x n copy
+    for shape, expected in (((2999, 1, 2), {1: 2997, -1: 1}),
+                            ((1000, 300, 31), {1: 9968, -599: 30})):  # n = 10^4
+        s = seidel_matrix(make_params(*shape))
+        assert s.dtype == np.int8
+        tracemalloc.start()
+        residual, roots = linalg._charpoly_factored(s)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        del s
+        assert roots == expected and residual.degree == 2
+        assert peak < 4 * 2**20, shape
+
+
+def test_int8_matrix_without_twins_matches_int64():
+    # no twins, so the whole int8 matrix reaches the modular reduction,
+    # where a 31-bit prime does not fit int8
+    rng = np.random.default_rng(20261018)
+    upper = np.triu(rng.integers(-1, 2, size=(40, 40)), 1)
+    m = upper + upper.T
+    assert linalg._twin_quotient(m.astype(np.int8)) is None
+    expected = charpoly_oracle(m.astype(np.int64))
+    assert charpoly_oracle(m.astype(np.int8)) == expected
+    assert charpoly_oracle(m.tolist()) == expected
+
+
+def test_a_vertex_with_another_diagonal_does_not_split_a_class(monkeypatch):
+    # vertices 0, 2, 3 and 4 are twins with t = -2; vertex 1 ties with them
+    # on every entry but its diagonal
+    m = [[0, -2, -2, -2, -2], [-2, 2, -2, -2, -2], [-2, -2, 0, -2, -2],
+         [-2, -2, -2, 0, -2], [-2, -2, -2, -2, 0]]
+    assert deflated_dimensions(monkeypatch, m) == {2}
+    assert linalg._charpoly_factored(m)[1] == {2: 3}
+    assert charpoly_oracle(m) == det_exact(char_matrix(m))
+
+
+def test_interleaved_classes_under_a_constant_hash_key(monkeypatch):
+    # classes {0, 2, 4} and {1, 3} share d and t, so with a constant hash key
+    # all five vertices tie in one run: the class of its first vertex leaves
+    # and the rest is checked again against vertex 1
+    between = [[0, 5], [-4, 0]]
+    m = planted([1, 1], [2, 2], between, [3, 2], [0, 3, 1, 4, 2])
+    monkeypatch.setattr(linalg, "_twin_weights", lambda n: np.zeros(n, dtype=np.int64))
+    assert deflated_dimensions(monkeypatch, m) == {2}
+    assert linalg._charpoly_factored(m)[1] == {-1: 3}
+    assert charpoly_oracle(m) == det_exact(char_matrix(m))
+
+
+def test_a_row_that_collides_on_the_hash_does_not_split_a_class(monkeypatch):
+    # {1, 3, 8, 12} are twins with d = 3 and t = -1; row 9 has d = 3 too and
+    # was solved so that its hash key for t = -1 equals theirs
+    m = [
+        [-1, -3, 0, -3, -3, -2, -3, 1, -3, -349153, -3, 3, -3],
+        [-3, 3, -1, -1, 1, -3, 1, -2, -1, -3, -3, 0, -1],
+        [0, -1, -2, -1, 1, -3, -2, 2, -1, 2, 1, -3, -1],
+        [-3, -1, -1, 3, 1, -3, 1, -2, -1, -3, -3, 0, -1],
+        [-3, 1, 1, 1, 0, 1, 1, 0, 1, -3, -2, -3, 1],
+        [-2, -3, -3, -3, 1, 2, 1, 3, -3, 195645, -1, 0, -3],
+        [-3, 1, -2, 1, 1, 1, -3, -2, 1, 1, -3, 1, 1],
+        [1, -2, 2, -2, 0, 3, -2, -3, -2, -1, 1, 3, -2],
+        [-3, -1, -1, -1, 1, -3, 1, -2, 3, -3, -3, 0, -1],
+        [-349153, -3, 2, -3, -3, 195645, 1, -1, -3, 3, 2, -2, -3],
+        [-3, -3, 1, -3, -2, -1, -3, 1, -3, 2, 3, -3, -3],
+        [3, 0, -3, 0, -3, 0, 1, 3, 0, -2, -3, 1, 0],
+        [-3, -1, -1, -1, 1, -3, 1, -2, -1, -3, -3, 0, 3],
+    ]
+    a = np.array(m, dtype=np.int64)
+    w = linalg._twin_weights(13)
+    keys = a @ w - np.diagonal(a) * w - w  # the row hash with t = -1
+    assert len({keys[v] for v in (1, 3, 8, 9, 12)}) == 1
+    assert deflated_dimensions(monkeypatch, m) == {10}
+    assert linalg._charpoly_factored(m)[1] == {4: 3}
+    assert charpoly_oracle(m) == det_exact(char_matrix(m))

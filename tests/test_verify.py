@@ -8,6 +8,7 @@ from seidelspectra.family import make_params, seidel_matrix
 from seidelspectra.linalg import identity_matrix, ones_matrix
 from seidelspectra.polynomial import UniPoly
 from seidelspectra.verify import (
+    DENSE_N_MAX,
     N_MAX,
     InvariantResults,
     VerificationReport,
@@ -262,6 +263,81 @@ def test_verify_refuses_n_above_n_max_before_building(h, monkeypatch):
     # n = N_MAX itself gets as far as building its matrix
     with pytest.raises(AssertionError, match="a matrix was built"):
         verify_instance(make_params(N_MAX - 1, 1, 2))
+
+
+def test_numeric_referee_is_skipped_above_dense_n_max(monkeypatch):
+    from seidelspectra import verify
+
+    def no_numeric(*args):
+        raise AssertionError("the numeric referee ran")
+
+    monkeypatch.setattr(verify, "eig_numeric", no_numeric)
+    report = verify_instance(make_params(DENSE_N_MAX, 1, 2))
+    assert report.params.n == DENSE_N_MAX + 1
+    assert report.numeric_skipped and math.isnan(report.spectrum_max_deviation)
+    assert report.charpoly_exact_match and report.invariant_results.all_pass()
+    assert report.spectrum is not None and report.passed()
+    # a report that says the referee ran is judged by its deviation, and a
+    # closed form with no real spectrum fails with the referee skipped
+    assert not report._replace(numeric_skipped=False).passed()
+    assert not report._replace(spectrum=None).passed()
+    # at n = DENSE_N_MAX the numeric referee runs
+    with pytest.raises(AssertionError, match="the numeric referee ran"):
+        verify_instance(make_params(DENSE_N_MAX - 1, 1, 2))
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_a_moved_cubic_coefficient_above_dense_n_max_fails_unexpanded(index, monkeypatch):
+    import time
+
+    from seidelspectra import closedform
+
+    real = closedform.cubic_s
+
+    def moved(params):
+        coeffs = list(real(params))
+        coeffs[index] += 1
+        return tuple(coeffs)
+
+    def no_expansion(*args):
+        raise AssertionError("a polynomial was expanded")
+
+    monkeypatch.setattr(closedform, "cubic_s", moved)
+    monkeypatch.setattr(closedform.FactoredCharPoly, "expand", no_expansion)
+    start = time.perf_counter()
+    report = verify_instance(make_params(DENSE_N_MAX, 1, 2))
+    assert time.perf_counter() - start < 5.0
+    assert report.numeric_skipped and not report.passed()
+    assert not report.charpoly_exact_match and report.coefficient_diffs == ()
+
+
+@pytest.mark.parametrize("field, shift", [
+    ("root1", 1), ("root2", 1), ("root2", -1), ("e1", 1), ("e2", 1), ("e2", -1),
+])
+def test_a_moved_linear_factor_above_dense_n_max_fails_unexpanded(field, shift, monkeypatch):
+    from seidelspectra import closedform, verify
+
+    real = verify.charpoly_closed
+    powers = []
+
+    def no_expansion(*args):
+        raise AssertionError("a polynomial was expanded")
+
+    def small_power(root, exponent):
+        powers.append(exponent)
+        return real_power(root, exponent)
+
+    real_power = verify._linear_power
+    monkeypatch.setattr(verify, "charpoly_closed",
+                        lambda params: real(params)._replace(
+                            **{field: getattr(real(params), field) + shift}))
+    monkeypatch.setattr(closedform.FactoredCharPoly, "expand", no_expansion)
+    monkeypatch.setattr(verify, "_linear_power", small_power)
+    report = verify_instance(make_params(DENSE_N_MAX, 2, 3))
+    assert report.numeric_skipped and not report.passed()
+    assert not report.charpoly_exact_match and report.coefficient_diffs == ()
+    # only factors of degree up to the cubic's were expanded, never (r - x)^n
+    assert max(powers, default=0) <= 3
 
 
 def sweep_grid():
