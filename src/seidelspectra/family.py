@@ -97,8 +97,8 @@ def _block_matrix(params: FamilyParams, inside: int, outside: int) -> Matrix:
     hub = (k - 1) * p
     common = slice(hub, n - p)
     out = np.full((n, n), outside, dtype=np.int8)
-    block = np.arange(hub) // p
-    out[:hub, :hub][block[:, None] == block] = inside
+    private = np.arange(k - 1)  # the diagonal p x p blocks, through a view that splits axes
+    out[:hub, :hub].reshape(k - 1, p, k - 1, p)[private, :, private, :] = inside
     out[:hub, common] = inside
     out[common, :hub] = inside
     out[hub:, hub:] = inside

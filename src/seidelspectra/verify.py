@@ -36,7 +36,7 @@ __all__ = [
 DEFAULT_N_CAP = 40
 
 #: Largest n that verify_instance takes: its int8 matrix and the exact
-#: referees need about 200 MB and a second here.
+#: referees need about 130 MB and a second or two here.
 N_MAX = 10_000
 
 #: Largest n for the numeric referee (two 8n^2 float copies), for expanding

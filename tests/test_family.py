@@ -189,3 +189,23 @@ def test_int8_matrices_match_the_clique_union_definition():
         definition = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64) - 2 * adjacency
         assert np.array_equal(s, definition)
     assert x_prime_matrix(make_params(4, 1, 3)).dtype == np.int8
+
+
+def test_the_build_allocates_little_beyond_the_matrix():
+    import tracemalloc
+
+    # 13 private blocks of 100: a (k-1)p x (k-1)p mask would add 1.69 MB
+    params = make_params(200, 100, 14)
+    n = params.n
+    tracemalloc.start()
+    s = seidel_matrix(params)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert s.nbytes == n * n
+    assert peak < n * n + 2**18
+    definition = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
+    for j in range(1, params.k + 1):
+        members = list(clique_vertices(params, j))
+        definition[np.ix_(members, members)] = -1
+    np.fill_diagonal(definition, 0)
+    assert np.array_equal(s, definition)
