@@ -22,11 +22,9 @@ from .closedform import (
     spectrum_uniform_blocks,
     uniform_block_matrix,
 )
-from .cubic import cubic_root_values
 from .errors import (
     ComplexRoots,
     DegenerateFamily,
-    DegenerateLeading,
     InternalError,
     InvalidParams,
     NotSymmetric,
@@ -54,14 +52,10 @@ from .linalg import (
     det_exact,
     exact_matrix,
     identity_matrix,
-    inverse_exact,
-    ones_matrix,
     schur_block_det,
     schur_block_det_adjugate,
-    trace_exact,
-    zeros_matrix,
 )
-from .polynomial import UniPoly, X, constant
+from .polynomial import UniPoly, constant
 from .verify import (
     InvariantResults,
     SweepSummary,
@@ -87,10 +81,8 @@ __all__ = [
     "spectrum_closed",
     "spectrum_uniform_blocks",
     "uniform_block_matrix",
-    "cubic_root_values",
     "ComplexRoots",
     "DegenerateFamily",
-    "DegenerateLeading",
     "InternalError",
     "InvalidParams",
     "NotSymmetric",
@@ -114,14 +106,9 @@ __all__ = [
     "det_exact",
     "exact_matrix",
     "identity_matrix",
-    "inverse_exact",
-    "ones_matrix",
     "schur_block_det",
     "schur_block_det_adjugate",
-    "trace_exact",
-    "zeros_matrix",
     "UniPoly",
-    "X",
     "constant",
     "InvariantResults",
     "SweepSummary",

@@ -52,7 +52,7 @@ def _json_deviation(value: float) -> float | None:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
-    spectrum = spectrum_closed(params, args.tol)
+    spectrum = spectrum_closed(params)
     coeffs = cubic_s(params)
     if args.format == "json":
         payload = {
@@ -248,8 +248,10 @@ def _add_family_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _tolerance(text: str) -> float:
-    """A finite --tol of at least 2^-50: each irrational root's float lies
-    within about 1 ulp (2^-52 relative) of it, so no tighter certificate holds."""
+    """A finite --tol of at least 2^-50.  It bounds the numeric referee's
+    deviation from the closed form, whose floats are only correctly rounded
+    (2^-53 relative), so a tighter bound could reject a correct instance;
+    spectrum takes it too, and its floats never depend on it."""
     try:
         value = float(text)
     except ValueError:

@@ -10,11 +10,11 @@ each formula against oracles that never look at these functions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .errors import DegenerateFamily, UnsupportedShape
-from . import cubic
+from .errors import ComplexRoots, DegenerateFamily, UnsupportedShape
 from .family import FamilyParams
 from .linalg import Matrix, assemble_blocks, ones_matrix, zeros_matrix
 from .polynomial import UniPoly, X, _exact, _linear_power
@@ -53,11 +53,11 @@ class ScalarMatrixSpec(NamedTuple):
 
 
 class CubicRoot(NamedTuple):
-    """One irrational root of an integer cubic, carried symbolically.
+    """One irrational root of the family's cubic, carried symbolically.
 
-    ``index`` selects a root in descending order and ``value`` is its float
-    as the solver certified it; ``float()`` reads that value, so nothing
-    solves the cubic again.
+    ``index`` is the root's place among the cubic's three roots, descending,
+    and ``value`` is the correctly rounded float of the root; ``float()``
+    reads that value, so nothing solves the cubic again.
     """
 
     coeffs: tuple[int, int, int, int]
@@ -248,25 +248,69 @@ def charpoly_closed(params: FamilyParams) -> FactoredCharPoly:
     )
 
 
-def spectrum_closed(params: FamilyParams, tol: float = 1e-9) -> Spectrum:
+def _rounded_root(a2: int, a1: int, disc: int, sign: int) -> float:
+    """The float nearest (-a1 + sign*sqrt(disc)) / (2*a2), for disc > 0 not a square.
+
+    With t = isqrt(disc * 4^k) the root lies strictly inside (N, N + 1) /
+    (a2 * 2^(k+1)), for N = -a1 * 2^k + t or -a1 * 2^k - t - 1.  Rounding is
+    monotone, so once both ends round to one float the root rounds to it
+    too; k grows until they do.  Raises OverflowError beyond the float range.
+    """
+    k = max(0, 64 - disc.bit_length() // 2)
+    while True:
+        t = math.isqrt(disc << 2 * k)
+        low = (-a1 << k) + (t if sign > 0 else -t - 1)
+        den = a2 << (k + 1)
+        value = low / den  # int / int rounds correctly
+        if value == (low + 1) / den:
+            return value
+        k = 2 * k + 32
+
+
+def spectrum_closed(params: FamilyParams) -> Spectrum:
     """Full eigenvalue multiset from the factored form.
 
-    Rational cubic roots come back exact and merge exactly with the linear
-    factors' eigenvalues.  Irrational roots, never equal to those integers,
-    are CubicRoot descriptors whose floats are certified to relative width
-    ``tol``.  The cubic is solved once.
-    Raises UnsupportedShape when an eigenvalue is beyond the float range.
+    The cubic s always has the root 1 - 2p, so s = (x - (1 - 2p)) * q with
+    q a quadratic whose discriminant is (h - m)^2 + 8m(h - p) >= 0, where
+    m = n - h.  q's roots come from math.isqrt: exact ints or Fractions
+    when the discriminant is a square, which merge exactly with the linear
+    factors' eigenvalues, and otherwise CubicRoot descriptors carrying the
+    correctly rounded float.  Raises ComplexRoots when the cubic does not
+    split that way, and UnsupportedShape when an eigenvalue is beyond the
+    float range.
     """
     fac = charpoly_closed(params)
+    root = fac.root1
+    c0, c1, c2, c3 = fac.cubic
+    # synthetic division: s = (x - root) * (a2*x^2 + a1*x + a0) + rest
+    a2 = c3
+    a1 = c2 + root * a2
+    a0 = c1 + root * a1
+    rest = c0 + root * a0
+    disc = a1 * a1 - 4 * a2 * a0
+    if rest or disc < 0:
+        raise ComplexRoots(
+            f"cubic {fac.cubic} is not ({root} - x) times a quadratic with real roots"
+        )
     entries: list[tuple[SpectrumValue, int]] = [
-        (fac.root1, fac.e1),
+        (root, fac.e1 + 1),
         (fac.root2, fac.e2),
     ]
+    signs = (1, -1) if a2 > 0 else (-1, 1)  # q's larger root first
+    floor_sqrt = math.isqrt(disc)
     try:
-        for index, value in enumerate(cubic.cubic_root_values(fac.cubic, tol)):
-            if isinstance(value, float):
-                value = CubicRoot(fac.cubic, index, value)
-            entries.append((value, 1))
+        if floor_sqrt * floor_sqrt == disc:
+            entries += [(Fraction(-a1 + sign * floor_sqrt, 2 * a2), 1) for sign in signs]
+        else:
+            # how many of q's roots exceed root: one when a2*q(root) < 0,
+            # else none or both as root lies past q's vertex or before it
+            above = (1 if a2 * (a0 + root * (a1 + root * a2)) < 0
+                     else 0 if a2 * (2 * a2 * root + a1) > 0 else 2)
+            places = [i for i in range(3) if i != above]
+            entries += [
+                (CubicRoot(fac.cubic, place, _rounded_root(a2, a1, disc, sign)), 1)
+                for place, sign in zip(places, signs)
+            ]
         # ordering the spectrum takes every eigenvalue's float
         return _canonical_spectrum(entries)
     except OverflowError:

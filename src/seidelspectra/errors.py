@@ -26,11 +26,11 @@ class NotSymmetric(ValueError):
 
 
 class ComplexRoots(ArithmeticError):
-    """Cubic has a conjugate pair where three real roots were expected."""
+    """The closed cubic does not split into (1 - 2p - x) times a real-rooted quadratic.
 
-
-class DegenerateLeading(ValueError):
-    """Cubic solver needs a nonzero leading coefficient."""
+    Either division by (1 - 2p - x) leaves a remainder or the quotient's
+    discriminant is negative.
+    """
 
 
 class InternalError(RuntimeError):

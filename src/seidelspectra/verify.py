@@ -15,9 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ComplexRoots, DegenerateLeading, InvalidParams, NotSymmetric, UnsupportedShape,
-)
+from .errors import ComplexRoots, InvalidParams, NotSymmetric, UnsupportedShape
 from .closedform import FactoredCharPoly, Spectrum, charpoly_closed, spectrum_closed
 from .family import FamilyParams, make_params, seidel_matrix
 from .linalg import _charpoly_factored, _checked_matrix, trace_exact
@@ -63,7 +61,7 @@ class VerificationReport(NamedTuple):
     spectrum_max_deviation: float
     invariant_results: InvariantResults
     elapsed: float
-    #: closed-form spectrum; None when its cubic has no three real roots
+    #: closed-form spectrum; None when its cubic is not (1 - 2p - x) times a real-rooted q
     spectrum: Spectrum | None = None
     #: the numeric referee did not run (n > DENSE_N_MAX); the deviation is nan
     numeric_skipped: bool = False
@@ -164,11 +162,11 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
         )
     numeric = eig_numeric(seidel, tol) if dense else ()
     try:
-        spectrum = spectrum_closed(params, tol)
+        spectrum = spectrum_closed(params)
         deviations = [abs(a - b) for a, b in zip(spectrum.approx(), numeric)]
         max_dev = max(deviations, default=math.nan)  # nan: the referee was skipped
-    except (ComplexRoots, DegenerateLeading):
-        # such a cubic is no symmetric matrix's spectrum: the referee rejects it
+    except ComplexRoots:
+        # such a cubic gives the family no spectrum: the referee rejects it
         spectrum, max_dev = None, float("inf")
 
     sum_sq_coeff = (-1) ** n * (-(n * (n - 1)) // 2)

@@ -271,7 +271,8 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
-def test_verify_solves_the_closed_form_once(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_verify_solves_the_closed_form_once(command, capsys, monkeypatch):
     from seidelspectra import cli, verify
 
     calls = []
@@ -284,23 +285,6 @@ def test_verify_solves_the_closed_form_once(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "spectrum_closed", counted(cli.spectrum_closed))
     monkeypatch.setattr(verify, "spectrum_closed", counted(verify.spectrum_closed))
-    assert main(["verify", "--h", "5", "--p", "2", "--k", "4"]) == 0
-    assert len(calls) == 1
-    assert "eigenvalues (closed form):" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("command", ["spectrum", "verify"])
-def test_one_cubic_solve_per_command(command, capsys, monkeypatch):
-    from seidelspectra import cubic
-
-    calls = []
-    real = cubic.cubic_root_values
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cubic, "cubic_root_values", counted)
     for fmt in ("human", "json"):
         calls.clear()
         # (3, 1, 2) has two irrational cubic roots, printed in both formats
@@ -309,16 +293,24 @@ def test_one_cubic_solve_per_command(command, capsys, monkeypatch):
     assert "2.2360679775" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("shift", [-1, 1])
 @pytest.mark.parametrize("fmt", ["human", "json"])
-def test_verify_reports_a_closed_cubic_without_real_roots(fmt, capsys, monkeypatch):
+def test_verify_reports_a_closed_cubic_without_real_roots(fmt, shift, index, capsys,
+                                                           monkeypatch):
     from seidelspectra import closedform
 
     real = closedform.cubic_s
 
     def moved(params):
-        c0, c1, c2, c3 = real(params)
-        return c0, c1, c2, c3 + 1  # leading coefficient 0: no cubic left to solve
+        # shifting c_i moves s(1 - 2p) by +-(1 - 2p)^i, odd and never 0, so
+        # s no longer splits off the factor (1 - 2p - x)
+        coeffs = list(real(params))
+        coeffs[index] += shift
+        return tuple(coeffs)
 
+    oracle = [5, 0, -6, 0, 1]  # (1 - x)(5 + 5x - x^2 - x^3) for (3, 1, 2)
+    closed = oracle[index] + shift
     monkeypatch.setattr(closedform, "cubic_s", moved)
     code = main(["verify", "--h", "3", "--p", "1", "--k", "2", "--format", fmt])
     out = capsys.readouterr().out
@@ -326,7 +318,7 @@ def test_verify_reports_a_closed_cubic_without_real_roots(fmt, capsys, monkeypat
     if fmt == "json":
         payload = _strict_json(out)
         assert payload["charpoly_exact_match"] is False
-        assert payload["coefficient_diffs"][0] == [3, 1, 0]
+        assert payload["coefficient_diffs"][0] == [index, closed, oracle[index]]
         assert payload["spectrum_max_deviation"] is None
         assert payload["eigenvalues"] == []
         assert main(["sweep", "--h-max", "3", "--k-max", "2", "--format", "json"]) == 1
@@ -334,8 +326,8 @@ def test_verify_reports_a_closed_cubic_without_real_roots(fmt, capsys, monkeypat
         assert rows and all(r["max_dev"] is None for r in rows)
     else:
         assert "charpoly exact match: no" in out
-        assert "degree 3: closed form 1 vs oracle 0" in out
-        assert "max numeric deviation: inf" in out
+        assert f"degree {index}: closed form {closed} vs oracle {oracle[index]}" in out
+        assert "eigenvalues (closed form):\nmax numeric deviation: inf" in out
 
 
 def _strict_json(text):
