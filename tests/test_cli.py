@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -271,8 +272,8 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["spectrum", "verify"])
-def test_verify_solves_the_closed_form_once(command, capsys, monkeypatch):
+def _count_closed_form_solves(monkeypatch):
+    """Wrap spectrum_closed where the CLI and verify call it; return the call list."""
     from seidelspectra import cli, verify
 
     calls = []
@@ -285,6 +286,19 @@ def test_verify_solves_the_closed_form_once(command, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "spectrum_closed", counted(cli.spectrum_closed))
     monkeypatch.setattr(verify, "spectrum_closed", counted(verify.spectrum_closed))
+    return calls
+
+
+def test_verify_solves_the_closed_form_once(capsys, monkeypatch):
+    calls = _count_closed_form_solves(monkeypatch)
+    assert main(["verify", "--h", "5", "--p", "2", "--k", "4"]) == 0
+    assert len(calls) == 1
+    assert "eigenvalues (closed form):" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_one_cubic_solve_per_command(command, capsys, monkeypatch):
+    calls = _count_closed_form_solves(monkeypatch)
     for fmt in ("human", "json"):
         calls.clear()
         # (3, 1, 2) has two irrational cubic roots, printed in both formats
@@ -293,41 +307,38 @@ def test_verify_solves_the_closed_form_once(command, capsys, monkeypatch):
     assert "2.2360679775" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("index", range(4))
-@pytest.mark.parametrize("shift", [-1, 1])
 @pytest.mark.parametrize("fmt", ["human", "json"])
-def test_verify_reports_a_closed_cubic_without_real_roots(fmt, shift, index, capsys,
-                                                           monkeypatch):
+def test_verify_reports_a_closed_cubic_without_real_roots(fmt, capsys, monkeypatch):
     from seidelspectra import closedform
 
     real = closedform.cubic_s
-
-    def moved(params):
-        # shifting c_i moves s(1 - 2p) by +-(1 - 2p)^i, odd and never 0, so
-        # s no longer splits off the factor (1 - 2p - x)
-        coeffs = list(real(params))
-        coeffs[index] += shift
-        return tuple(coeffs)
-
     oracle = [5, 0, -6, 0, 1]  # (1 - x)(5 + 5x - x^2 - x^3) for (3, 1, 2)
-    closed = oracle[index] + shift
-    monkeypatch.setattr(closedform, "cubic_s", moved)
-    code = main(["verify", "--h", "3", "--p", "1", "--k", "2", "--format", fmt])
-    out = capsys.readouterr().out
-    assert code == 1
-    if fmt == "json":
-        payload = _strict_json(out)
-        assert payload["charpoly_exact_match"] is False
-        assert payload["coefficient_diffs"][0] == [index, closed, oracle[index]]
-        assert payload["spectrum_max_deviation"] is None
-        assert payload["eigenvalues"] == []
-        assert main(["sweep", "--h-max", "3", "--k-max", "2", "--format", "json"]) == 1
-        rows = _strict_json(capsys.readouterr().out)
-        assert rows and all(r["max_dev"] is None for r in rows)
-    else:
-        assert "charpoly exact match: no" in out
-        assert f"degree {index}: closed form {closed} vs oracle {oracle[index]}" in out
-        assert "eigenvalues (closed form):\nmax numeric deviation: inf" in out
+    for index, shift in itertools.product(range(4), (-1, 1)):
+        def moved(params, index=index, shift=shift):
+            # shifting c_i moves s(1 - 2p) by +-(1 - 2p)^i, odd and never 0,
+            # so s no longer splits off the factor (1 - 2p - x)
+            coeffs = list(real(params))
+            coeffs[index] += shift
+            return tuple(coeffs)
+
+        closed = oracle[index] + shift
+        monkeypatch.setattr(closedform, "cubic_s", moved)
+        code = main(["verify", "--h", "3", "--p", "1", "--k", "2", "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 1
+        if fmt == "json":
+            payload = _strict_json(out)
+            assert payload["charpoly_exact_match"] is False
+            assert payload["coefficient_diffs"][0] == [index, closed, oracle[index]]
+            assert payload["spectrum_max_deviation"] is None
+            assert payload["eigenvalues"] == []
+            assert main(["sweep", "--h-max", "3", "--k-max", "2", "--format", "json"]) == 1
+            rows = _strict_json(capsys.readouterr().out)
+            assert rows and all(r["max_dev"] is None for r in rows)
+        else:
+            assert "charpoly exact match: no" in out
+            assert f"degree {index}: closed form {closed} vs oracle {oracle[index]}" in out
+            assert "eigenvalues (closed form):\nmax numeric deviation: inf" in out
 
 
 def _strict_json(text):

@@ -1,15 +1,9 @@
-import importlib
-import itertools
-import json
 import math
-import pathlib
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from seidelspectra.cli import main
 from seidelspectra.closedform import (
     CubicRoot,
     FactoredCharPoly,
@@ -217,113 +211,3 @@ def test_spectrum_closed_merges_repeated_rational_roots():
 def test_spectrum_closed_dimension_accounting():
     for params in grid(5, 4):
         assert spectrum_closed(params).dimension == params.n
-
-
-def _quotient(params):
-    """(a0, a1, a2) of q with cubic_s = (x - (1 - 2p)) * q, by long division."""
-    c0, c1, c2, c3 = cubic_s(params)
-    r = 1 - 2 * params.p
-    a2 = c3
-    a1 = c2 + r * a2
-    a0 = c1 + r * a1
-    assert c0 + r * a0 == 0, params
-    return a0, a1, a2
-
-
-def test_cubic_always_has_the_root_one_minus_two_p():
-    # Once n = h + (k - 1)p is substituted, s(1 - 2p) is a polynomial of
-    # degree <= 1 in h, <= 3 in p and <= 1 in k.  By Alon's Combinatorial
-    # Nullstellensatz, Lemma 2.1 (Combin. Probab. Comput. 8, 1999), such a
-    # polynomial that vanishes on a 2 x 4 x 2 product grid is zero, so this
-    # grid proves s(1 - 2p) = 0 for every (h, p, k).
-    for h, p, k in itertools.product((5, 6), range(1, 5), (2, 3)):
-        assert UniPoly(cubic_s(make_params(h, p, k)))(1 - 2 * p) == 0
-
-
-def test_quotient_discriminant_is_a_sum_of_nonnegative_terms():
-    # q's discriminant, from the long division above, and the closed form
-    # (h - m)^2 + 8m(h - p) with m = n - h both have degree <= 2 in h, p
-    # and k, so agreeing on a 3 x 3 x 3 grid makes them equal (Lemma 2.1
-    # as above); as p <= h the closed form is never negative
-    for h, p, k in itertools.product((5, 6, 7), (1, 2, 3), (2, 3, 4)):
-        params = make_params(h, p, k)
-        a0, a1, a2 = _quotient(params)
-        m = params.n - h
-        assert a1 * a1 - 4 * a2 * a0 == (h - m) ** 2 + 8 * m * (h - p)
-
-
-def _perfbench_queries():
-    """perfbench's closed-form queries for seed 1."""
-    perfbench = str(pathlib.Path(__file__).resolve().parents[1] / "perfbench")
-    sys.path.insert(0, perfbench)
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(perfbench)
-    return workloads.closed_form_queries(1)
-
-
-def _sweep_grid():
-    return [(h, p, k) for h in range(2, 8) for p in range(1, h + 1)
-            for k in range(2, 6) if h + (k - 1) * p <= 40]
-
-
-def test_irrational_roots_are_correctly_rounded():
-    queries = _sweep_grid() + _perfbench_queries() + [
-        (10**300, 3, 7), (10**105, 7, 3), (10**9, 12345, 10**6),
-    ]
-    assert len(queries) >= 108 + 200 + 3
-    checked = 0
-    for query in queries:
-        params = make_params(*query)
-        a0, a1, a2 = _quotient(params)
-        roots = [v for v, _ in spectrum_closed(params).entries if isinstance(v, CubicRoot)]
-        for root in roots:
-            # q changes sign between the midpoints to the float's neighbours,
-            # so no other float lies nearer the root
-            low, high = ((Fraction(root.value) + Fraction(math.nextafter(root.value, end))) / 2
-                         for end in (-math.inf, math.inf))
-            assert (a0 + a1 * low + a2 * low * low) * (a0 + a1 * high + a2 * high * high) < 0
-        if roots:
-            # the indices place the roots of s in descending order, 1 - 2p included
-            (place,) = {0, 1, 2} - {root.index for root in roots}
-            assert place == sum(root.value > 1 - 2 * params.p for root in roots)
-            assert sorted(roots, key=float, reverse=True) == sorted(roots, key=lambda r: r.index)
-        checked += len(roots)
-    assert checked > 400
-
-
-@pytest.mark.parametrize("h, p, k", [(44, 43, 1000), (8326, 1, 2)])
-def test_large_roots_agree_with_numpy(h, p, k, capsys):
-    # the largest root is large against the coefficients, so a float
-    # residual test would reject these correct roots
-    assert main(["spectrum", "--h", str(h), "--p", str(p), "--k", str(k),
-                 "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert sum(e["multiplicity"] for e in payload["eigenvalues"]) == payload["n"]
-    reference = sorted(np.roots(payload["cubic"][::-1]).real, reverse=True)
-    roots = [v for v, _ in spectrum_closed(make_params(h, p, k)).entries
-             if isinstance(v, CubicRoot)]
-    assert len(roots) == 2
-    for root in roots:
-        assert abs(root.value - reference[root.index]) / max(1.0, abs(root.value)) < 1e-9
-
-
-def test_gate_query_agrees_with_numpy(capsys):
-    argv = ["spectrum", "--h", "1000000000", "--p", "12345", "--k", "1000000",
-            "--format", "json"]
-    assert main(argv) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert sum(e["multiplicity"] for e in payload["eigenvalues"]) == payload["n"]
-    coeffs = [float(c) for c in payload["cubic"][::-1]]
-    reference = sorted(np.roots(coeffs).real, reverse=True)
-    roots = [v for v, _ in spectrum_closed(make_params(10**9, 12345, 10**6)).entries
-             if isinstance(v, CubicRoot)]
-    assert len(roots) == 2
-    for root in roots:
-        assert abs(root.value - reference[root.index]) / abs(root.value) < 1e-9
-
-
-def test_eigenvalues_beyond_floats_are_refused(capsys):
-    assert main(["spectrum", "--h", str(10**400), "--p", "1", "--k", "2"]) == 2
-    assert "beyond the float range" in capsys.readouterr().err
