@@ -114,7 +114,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
-    report = verify_instance(params, args.tol)
+    report = verify_instance(params)
     eigenvalues = report.spectrum.entries if report.spectrum is not None else ()
     ok = report.passed(args.tol)
     if args.format == "json":
@@ -266,55 +266,85 @@ def _add_tol_arg(parser: argparse.ArgumentParser) -> None:
                         help="numeric tolerance (default 1e-9)")
 
 
+def _spectrum_args(parser: argparse.ArgumentParser) -> None:
+    """The arguments of spectrum, and of verify."""
+    _add_family_args(parser)
+    _add_tol_arg(parser)
+    parser.add_argument("--format", choices=("human", "json"), default="human")
+
+
+def _charpoly_args(parser: argparse.ArgumentParser) -> None:
+    _add_family_args(parser)
+    parser.add_argument("--expanded", action="store_true",
+                        help="also print the expanded coefficient vector")
+    parser.add_argument("--format", choices=("human", "json"), default="human")
+
+
+def _sweep_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--h-max", type=int, required=True)
+    parser.add_argument("--k-max", type=int, required=True)
+    parser.add_argument("--n-cap", type=int, default=None,
+                        help=f"skip points with n above this (default {DEFAULT_N_CAP}, "
+                        f"or the {N_CAP_ENV} environment variable)")
+    _add_tol_arg(parser)
+    parser.add_argument("--out", default=None, help="write results here instead of stdout")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _export_args(parser: argparse.ArgumentParser) -> None:
+    _add_family_args(parser)
+    parser.add_argument("--format", choices=("dot", "json"), default="dot")
+
+
+# name -> (help line, the function that adds its arguments, its handler)
+_COMMANDS = {
+    "spectrum": ("eigenvalues with multiplicities", _spectrum_args, cmd_spectrum),
+    "charpoly": ("factored characteristic polynomial", _charpoly_args, cmd_charpoly),
+    "verify": ("closed form vs oracle for one instance", _spectrum_args, cmd_verify),
+    "sweep": ("verify a whole parameter grid", _sweep_args, cmd_sweep),
+    "export": ("serialize the signed graph", _export_args, cmd_export),
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command line parser, built on first use and shared by every call."""
+    """The whole command line tree, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="seidelspectra",
         description="exact Seidel spectra of signed complete graphs whose "
         "negative edges form overlapping cliques",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="eigenvalues with multiplicities")
-    _add_family_args(sp)
-    _add_tol_arg(sp)
-    sp.add_argument("--format", choices=("human", "json"), default="human")
-    sp.set_defaults(func=cmd_spectrum)
-
-    cp = sub.add_parser("charpoly", help="factored characteristic polynomial")
-    _add_family_args(cp)
-    cp.add_argument("--expanded", action="store_true",
-                    help="also print the expanded coefficient vector")
-    cp.add_argument("--format", choices=("human", "json"), default="human")
-    cp.set_defaults(func=cmd_charpoly)
-
-    vf = sub.add_parser("verify", help="closed form vs oracle for one instance")
-    _add_family_args(vf)
-    _add_tol_arg(vf)
-    vf.add_argument("--format", choices=("human", "json"), default="human")
-    vf.set_defaults(func=cmd_verify)
-
-    sw = sub.add_parser("sweep", help="verify a whole parameter grid")
-    sw.add_argument("--h-max", type=int, required=True)
-    sw.add_argument("--k-max", type=int, required=True)
-    sw.add_argument("--n-cap", type=int, default=None,
-                    help=f"skip points with n above this (default {DEFAULT_N_CAP}, "
-                    f"or the {N_CAP_ENV} environment variable)")
-    _add_tol_arg(sw)
-    sw.add_argument("--out", default=None, help="write results here instead of stdout")
-    sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    sw.set_defaults(func=cmd_sweep)
-
-    ex = sub.add_parser("export", help="serialize the signed graph")
-    _add_family_args(ex)
-    ex.add_argument("--format", choices=("dot", "json"), default="dot")
-    ex.set_defaults(func=cmd_export)
+    for name, (help_line, add_args, func) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        add_args(command)
+        command.set_defaults(func=func)
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser alone, the same as its subparser in ``_parser()``."""
+    _, add_args, func = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"seidelspectra {name}")
+    add_args(parser)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command call with its own parser.  No command, an unknown one,
+    top-level help and stray arguments go to the whole tree, which prints the
+    usage and error it always printed."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (InvalidParams, DegenerateFamily, UnsupportedShape) as exc:

@@ -85,15 +85,13 @@ class SweepSummary(NamedTuple):
     first_failure: FamilyParams | None
 
 
-def eig_numeric(m: object, tol: float = 1e-9) -> tuple[float, ...]:
+def eig_numeric(m: object) -> tuple[float, ...]:
     """All eigenvalues of an exactly symmetric matrix, sorted descending.
 
     Signed-integer arrays are used as they are; other input goes through
     ``exact_matrix`` once, which rejects floats.  Symmetry is checked
     exactly, before any rounding.  The numeric path is advisory (the exact
-    path is authoritative), so a standard dense symmetric solver is enough;
-    ``tol`` documents the accuracy callers should rely on and is far above
-    what the solver delivers at these sizes.
+    path is authoritative), so a standard dense symmetric solver is enough.
     """
     a = _checked_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -136,9 +134,10 @@ def _degree_and_third(residual: UniPoly, roots: dict[int, int]) -> tuple[int, in
     return residual.degree + exponent, (-1) ** exponent * (r0 * s2 - r1 * s1 + r2)
 
 
-def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationReport:
+def verify_instance(params: FamilyParams) -> VerificationReport:
     """Compare the factored characteristic polynomial against both oracles (n <= N_MAX);
-    above DENSE_N_MAX without the numeric one, and a mismatch without a diff."""
+    above DENSE_N_MAX without the numeric one, and a mismatch without a diff.
+    The report holds the numeric deviation; ``VerificationReport.passed(tol)`` judges it."""
     if params.n > N_MAX:
         raise UnsupportedShape(f"n = {params.n} is above N_MAX = {N_MAX}")
     start = time.perf_counter()
@@ -160,7 +159,7 @@ def verify_instance(params: FamilyParams, tol: float = 1e-9) -> VerificationRepo
             for deg in range(top + 1)
             if closed.coeff(deg) != oracle.coeff(deg)
         )
-    numeric = eig_numeric(seidel, tol) if dense else ()
+    numeric = eig_numeric(seidel) if dense else ()
     try:
         spectrum = spectrum_closed(params)
         deviations = [abs(a - b) for a, b in zip(spectrum.approx(), numeric)]
@@ -230,7 +229,7 @@ def sweep(
                     skipped.append(params)
                     continue
                 try:
-                    report = verify_instance(params, tol)
+                    report = verify_instance(params)
                 except Exception as exc:
                     errors.append((params, f"{type(exc).__name__}: {exc}"))
                     if first_failure is None:

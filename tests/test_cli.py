@@ -117,8 +117,8 @@ def test_verify_exit_code_counts_failed_invariants(fmt, capsys, monkeypatch):
 
     real = cli.verify_instance
 
-    def broken(params, tol=1e-9):
-        report = real(params, tol)
+    def broken(params):
+        report = real(params)
         bad = report.invariant_results._replace(vieta_trace=False)
         return report._replace(invariant_results=bad)
 
@@ -421,12 +421,14 @@ def test_sweep_rows_mark_a_skipped_numeric_referee(capsys, monkeypatch):
         assert (row["max_dev"] is None) is skipped
 
 
-def _outcome(capsys, argv, fresh=False):
-    """(exit code, stdout, stderr) of one main call; ``fresh`` rebuilds the parser first."""
+def _outcome(capsys, argv, fresh=False, parse=main):
+    """(exit code, stdout, stderr) of one ``parse`` call, by default main;
+    ``fresh`` rebuilds the parsers first."""
     if fresh:
         cli._parser.cache_clear()
+        cli._command_parser.cache_clear()
     try:
-        code = main(argv)
+        code = parse(argv)
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
@@ -477,16 +479,38 @@ def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     cli._parser.cache_clear()
-    for argv in (
+    cli._command_parser.cache_clear()
+    calls = (
         ["spectrum", *FAMILY],
         ["charpoly", *FAMILY, "--format", "json"],
         ["verify", *FAMILY],
         ["export", *FAMILY],
         ["sweep", "--h-max", "3", "--k-max", "2", "--out", str(tmp_path / "grid.csv")],
-    ):
+    )
+    for argv in calls * 2:
         assert _outcome(capsys, argv)[0] == 0
-    assert built.count("seidelspectra") == 1
-    assert len(built) == 6  # the top-level parser and its five subcommands
+    # one parser per command and process, and never the whole tree
+    assert sorted(built) == sorted(f"seidelspectra {argv[0]}" for argv in calls)
+
+
+@pytest.mark.parametrize("name", ["spectrum", "charpoly", "verify", "sweep", "export"])
+def test_command_parser_matches_its_subparser(name):
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert cli._command_parser(name).format_help() == sub.choices[name].format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", *FAMILY, "--bogus"],
+    ["spectrum", "extra", *FAMILY],
+    ["bogus"],
+    ["--help"],
+    [],
+])
+def test_fallback_prints_what_the_whole_tree_prints(argv, capsys):
+    tree = _outcome(capsys, argv, parse=lambda argv: cli._parser().parse_args(argv))
+    assert tree[0] == (0 if argv == ["--help"] else 2)
+    assert _outcome(capsys, argv) == tree
+    assert _outcome(capsys, argv, fresh=True) == tree
 
 
 def test_no_option_leaks_between_calls(tmp_path, capsys):
