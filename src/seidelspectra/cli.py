@@ -56,10 +56,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     coeffs = cubic_s(params)
     if args.format == "json":
         payload = {
-            "h": params.h,
-            "p": params.p,
-            "k": params.k,
-            "n": params.n,
+            **params._asdict(),
             "eigenvalues": [
                 {"value": _json_value(v), "multiplicity": m}
                 for v, m in spectrum.entries
@@ -84,10 +81,7 @@ def cmd_charpoly(args: argparse.Namespace) -> int:
     cubic_poly = UniPoly(fac.cubic)
     if args.format == "json":
         payload = {
-            "h": params.h,
-            "p": params.p,
-            "k": params.k,
-            "n": params.n,
+            **params._asdict(),
             "degree": fac.degree,
             "factors": [
                 {"root": fac.root1, "exponent": fac.e1},
@@ -119,7 +113,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ok = report.passed(args.tol)
     if args.format == "json":
         payload = {
-            "params": {"h": params.h, "p": params.p, "k": params.k, "n": params.n},
+            "params": params._asdict(),
             "charpoly_exact_match": report.charpoly_exact_match,
             "coefficient_diffs": [list(d) for d in report.coefficient_diffs],
             "spectrum_max_deviation": _json_deviation(report.spectrum_max_deviation),
@@ -173,10 +167,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "json":
         rows: list[dict] = [
             {
-                "h": r.params.h,
-                "p": r.params.p,
-                "k": r.params.k,
-                "n": r.params.n,
+                **r.params._asdict(),
                 "exact_match": r.charpoly_exact_match,
                 "max_dev": _json_deviation(r.spectrum_max_deviation),
                 "elapsed_ms": r.elapsed * 1000.0,
@@ -185,7 +176,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for r in summary.reports
         ]
         rows.extend(
-            {"h": s.h, "p": s.p, "k": s.k, "n": s.n, "skipped": True}
+            {**s._asdict(), "skipped": True}
             for s in summary.skipped
         )
         text = json.dumps(rows) + "\n"

@@ -16,8 +16,8 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import ComplexRoots, DegenerateFamily, UnsupportedShape
 from .family import FamilyParams
-from .linalg import Matrix, assemble_blocks, ones_matrix, zeros_matrix
-from .polynomial import UniPoly, X, _exact, _linear_power
+from .linalg import Matrix, assemble_blocks, exact_matrix, identity_matrix, ones_matrix
+from .polynomial import UniPoly, X, _exact, _times_linear_powers
 
 ExactValue = Union[int, Fraction]
 
@@ -45,11 +45,7 @@ class ScalarMatrixSpec(NamedTuple):
     n: int
 
     def realize(self) -> Matrix:
-        out = zeros_matrix(self.n)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = _exact(self.b + (self.a if i == j else 0))
-        return out
+        return exact_matrix(self.a * identity_matrix(self.n) + self.b)
 
 
 class CubicRoot(NamedTuple):
@@ -218,11 +214,8 @@ class FactoredCharPoly(NamedTuple):
         return self.e1 + self.e2 + 3
 
     def expand(self) -> UniPoly:
-        return (
-            _linear_power(self.root1, self.e1)
-            * _linear_power(self.root2, self.e2)
-            * UniPoly(self.cubic)
-        )
+        return _times_linear_powers(
+            UniPoly(self.cubic), ((self.root1, self.e1), (self.root2, self.e2)))
 
 
 def charpoly_closed(params: FamilyParams) -> FactoredCharPoly:

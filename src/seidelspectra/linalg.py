@@ -39,7 +39,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InternalError, SingularBlock, SingularInput
-from .polynomial import UniPoly, X, _exact, _linear_power
+from .polynomial import UniPoly, X, _exact, _times_linear_powers
 
 #: Matrices in this package are 2-d numpy arrays: signed integers (int8 for
 #: the family's block layout), dtype=object with exact entries everywhere else.
@@ -69,7 +69,9 @@ __all__ = [
 def _exact_entry(value: object) -> Entry:
     if isinstance(value, (int, np.integer, np.bool_)):
         return int(value)  # bool and np.bool_ become 0 or 1
-    if isinstance(value, (UniPoly, Fraction)):
+    if isinstance(value, Fraction):
+        return _exact(value)
+    if isinstance(value, UniPoly):
         return value
     raise TypeError(
         f"matrix entries must be int, Fraction, or UniPoly, got {type(value).__name__}"
@@ -81,8 +83,8 @@ def exact_matrix(rows: object) -> Matrix:
 
     Accepts nested sequences or numpy arrays of any integer dtype.  Integer
     entries (including numpy scalars) become Python ints so later
-    arithmetic is arbitrary precision; Fraction and UniPoly entries pass
-    through unchanged.  Floats are rejected.
+    arithmetic is arbitrary precision; an integral Fraction becomes an int,
+    other Fractions and UniPoly entries pass through.  Floats are rejected.
     """
     arr = np.asarray(rows, dtype=object)
     if arr.ndim != 2:
@@ -98,35 +100,21 @@ def _checked_matrix(m: object) -> Matrix:
 
 
 def zeros_matrix(rows: int, cols: int | None = None) -> Matrix:
-    if cols is None:
-        cols = rows
-    out = np.empty((rows, cols), dtype=object)
-    out[...] = 0
-    return out
+    return exact_matrix(np.zeros((rows, rows if cols is None else cols), dtype=np.int64))
 
 
 def ones_matrix(rows: int, cols: int | None = None) -> Matrix:
     """All-ones matrix J, rectangular when ``cols`` differs from ``rows``."""
-    if cols is None:
-        cols = rows
-    out = np.empty((rows, cols), dtype=object)
-    out[...] = 1
-    return out
+    return exact_matrix(np.ones((rows, rows if cols is None else cols), dtype=np.int64))
 
 
 def identity_matrix(n: int) -> Matrix:
-    out = zeros_matrix(n)
-    for i in range(n):
-        out[i, i] = 1
-    return out
+    return exact_matrix(np.eye(n, dtype=np.int64))
 
 
 def complete_adjacency(n: int) -> Matrix:
     """Adjacency matrix of the complete graph K_n: zero diagonal, ones elsewhere."""
-    out = ones_matrix(n)
-    for i in range(n):
-        out[i, i] = 0
-    return out
+    return exact_matrix(1 - np.eye(n, dtype=np.int64))
 
 
 def assemble_blocks(grid: Sequence[Sequence[object]]) -> Matrix:
@@ -547,7 +535,7 @@ def charpoly_oracle(m: object) -> UniPoly:
     ValueError for dimension 0 or at least 2^16.
     """
     residual, roots = _charpoly_factored(m)
-    return math.prod((_linear_power(r, e) for r, e in roots.items()), start=residual)
+    return _times_linear_powers(residual, roots.items())
 
 
 def _minor(entries: list[list[Entry]], drop_row: int, drop_col: int) -> list[list[Entry]]:

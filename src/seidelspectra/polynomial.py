@@ -7,6 +7,7 @@ polynomial stores no coefficients and reports degree -1.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -165,6 +166,11 @@ def _linear_power(c: Scalar, e: int) -> UniPoly:
         coeffs.append((-1) ** (e - j) * binomial * power)
         binomial, power = binomial * (e - j) // (j + 1), power * c
     return UniPoly(reversed(coeffs))
+
+
+def _times_linear_powers(poly: UniPoly, factors: Iterable[tuple[Scalar, int]]) -> UniPoly:
+    """poly * prod (r - x)^e over the (r, e) pairs: a factored form, expanded."""
+    return math.prod((_linear_power(r, e) for r, e in factors), start=poly)
 
 
 def _exact(value: Scalar) -> Scalar:

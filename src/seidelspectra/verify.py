@@ -19,7 +19,7 @@ from .errors import ComplexRoots, InvalidParams, NotSymmetric, UnsupportedShape
 from .closedform import FactoredCharPoly, Spectrum, charpoly_closed, spectrum_closed
 from .family import FamilyParams, make_params, seidel_matrix
 from .linalg import _charpoly_factored, _checked_matrix, trace_exact
-from .polynomial import UniPoly, _linear_power
+from .polynomial import UniPoly, _times_linear_powers
 
 __all__ = [
     "InvariantResults",
@@ -40,6 +40,9 @@ N_MAX = 10_000
 #: Largest n for the numeric referee (two 8n^2 float copies), for expanding
 #: a polynomial (``charpoly --expanded``, a mismatch's diff) and for ``export``.
 DENSE_N_MAX = 3000
+
+#: Most (h, p, k) points a sweep takes, skipped ones included.
+SWEEP_POINTS_MAX = 10**6
 
 
 class InvariantResults(NamedTuple):
@@ -118,8 +121,7 @@ def _same_product(factored: FactoredCharPoly, residual: UniPoly,
     # one side's leftover roots must divide the other's polynomial: at most its degree of them
     if any(sum(own.values()) > other.degree for (_, own), (other, _) in zip(sides, sides[::-1])):
         return False
-    left = [math.prod((_linear_power(r, e) for r, e in own.items()), start=poly)
-            for poly, own in sides]
+    left = [_times_linear_powers(poly, own.items()) for poly, own in sides]
     return left[0] == left[1]
 
 
@@ -152,7 +154,7 @@ def verify_instance(params: FamilyParams) -> VerificationReport:
     if not match and dense:
         # only a mismatch pays for expanding both sides into a diff
         closed = factored.expand()
-        oracle = math.prod((_linear_power(r, e) for r, e in roots.items()), start=residual)
+        oracle = _times_linear_powers(residual, roots.items())
         top = max(closed.degree, oracle.degree)
         diffs = tuple(
             (deg, closed.coeff(deg), oracle.coeff(deg))
@@ -213,10 +215,15 @@ def sweep(
 
     Points with n above ``n_cap`` are skipped and listed.  Iteration order
     is (h, p, k) ascending and the summary is deterministic; per-point
-    exceptions are recorded, never raised.
+    exceptions are recorded, never raised.  A grid of more than
+    SWEEP_POINTS_MAX points is refused before any point runs.
     """
     if h_max < 2 or k_max < 2:
         raise InvalidParams(f"sweep bounds must be >= 2 (got h_max={h_max}, k_max={k_max})")
+    points = (k_max - 1) * (h_max * (h_max + 1) // 2 - 1)
+    if points > SWEEP_POINTS_MAX:
+        raise InvalidParams(f"the grid has {points} points, above SWEEP_POINTS_MAX = "
+                            f"{SWEEP_POINTS_MAX}")
     reports: list[VerificationReport] = []
     skipped: list[FamilyParams] = []
     errors: list[tuple[FamilyParams, str]] = []

@@ -242,6 +242,13 @@ def test_charpoly_interpolates_bareiss_determinants(rng):
         assert p(t) == det_exact(m - t * identity_matrix(n))
 
 
+def test_charpoly_takes_an_integral_fraction_as_an_int():
+    m = exact_matrix([[Fraction(4, 2), 1], [1, 0]])
+    assert type(m[0, 0]) is int
+    assert charpoly_oracle(m) == X**2 - 2 * X - 1
+    assert det_exact(m) == -1
+
+
 def test_charpoly_rejects_non_integer_and_oversized_input(monkeypatch):
     with pytest.raises(TypeError):
         charpoly_oracle([[Fraction(1, 2), 0], [0, 1]])

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from seidelspectra.polynomial import UniPoly
 from seidelspectra.verify import (
     DENSE_N_MAX,
     N_MAX,
+    SWEEP_POINTS_MAX,
     InvariantResults,
     VerificationReport,
     discrepancy_notes,
@@ -161,6 +163,27 @@ def test_sweep_rejects_bad_bounds():
         sweep(1, 3)
     with pytest.raises(InvalidParams):
         sweep(3, 1)
+
+
+def grid_points(h_max, k_max):
+    return (k_max - 1) * (h_max * (h_max + 1) // 2 - 1)
+
+
+def test_sweep_refuses_a_grid_above_sweep_points_max_at_once():
+    assert grid_points(1414, 2) > SWEEP_POINTS_MAX >= grid_points(1413, 2)
+    start = time.perf_counter()
+    with pytest.raises(InvalidParams, match="SWEEP_POINTS_MAX"):
+        sweep(1414, 2)
+    with pytest.raises(InvalidParams, match="SWEEP_POINTS_MAX"):
+        sweep(100_000, 2)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_sweep_point_count_matches_the_grid():
+    summary = sweep(4, 3, n_cap=6)
+    assert summary.skipped
+    assert grid_points(4, 3) == (len(summary.reports) + len(summary.skipped)
+                                 + len(summary.errors))
 
 
 def test_discrepancy_notes_cover_known_slips():
@@ -315,7 +338,7 @@ def test_a_moved_cubic_coefficient_above_dense_n_max_fails_unexpanded(index, mon
     ("root1", 1), ("root2", 1), ("root2", -1), ("e1", 1), ("e2", 1), ("e2", -1),
 ])
 def test_a_moved_linear_factor_above_dense_n_max_fails_unexpanded(field, shift, monkeypatch):
-    from seidelspectra import closedform, verify
+    from seidelspectra import closedform, polynomial, verify
 
     real = verify.charpoly_closed
     powers = []
@@ -327,12 +350,12 @@ def test_a_moved_linear_factor_above_dense_n_max_fails_unexpanded(field, shift, 
         powers.append(exponent)
         return real_power(root, exponent)
 
-    real_power = verify._linear_power
+    real_power = polynomial._linear_power
     monkeypatch.setattr(verify, "charpoly_closed",
                         lambda params: real(params)._replace(
                             **{field: getattr(real(params), field) + shift}))
     monkeypatch.setattr(closedform.FactoredCharPoly, "expand", no_expansion)
-    monkeypatch.setattr(verify, "_linear_power", small_power)
+    monkeypatch.setattr(polynomial, "_linear_power", small_power)
     report = verify_instance(make_params(DENSE_N_MAX, 2, 3))
     assert report.numeric_skipped and not report.passed()
     assert not report.charpoly_exact_match and report.coefficient_diffs == ()
