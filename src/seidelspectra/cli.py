@@ -175,10 +175,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             }
             for r in summary.reports
         ]
-        rows.extend(
-            {**s._asdict(), "skipped": True}
-            for s in summary.skipped
-        )
+        rows += [{**e._asdict(), "error": message} for e, message in summary.errors]
+        rows += [{**s._asdict(), "skipped": True} for s in summary.skipped]
         text = json.dumps(rows) + "\n"
     else:
         lines = ["h,p,k,n,exact_match,max_dev,elapsed_ms"]
@@ -189,11 +187,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{r.params.h},{r.params.p},{r.params.k},{r.params.n},"
                 f"{match},{dev},{r.elapsed * 1000.0:.3f}"
             )
+        # a point that raised: its exception's type name takes the max_dev column
+        lines += [",".join(map(str, e)) + f",false,{message.split(':')[0]},"
+                  for e, message in summary.errors]
         text = "\n".join(lines) + "\n"
     summary_line = (
         f"{summary.passed} passed, {summary.failed} failed, "
         f"{len(summary.skipped)} skipped"
     )
+    for e, message in summary.errors:
+        print(f"error: h={e.h} p={e.p} k={e.k} n={e.n}: {message}", file=sys.stderr)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

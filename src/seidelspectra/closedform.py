@@ -51,13 +51,11 @@ class ScalarMatrixSpec(NamedTuple):
 class CubicRoot(NamedTuple):
     """One irrational root of the family's cubic, carried symbolically.
 
-    ``index`` is the root's place among the cubic's three roots, descending,
-    and ``value`` is the correctly rounded float of the root; ``float()``
-    reads that value, so nothing solves the cubic again.
+    ``value`` is the correctly rounded float of the root; ``float()`` reads
+    it, so nothing solves the cubic again.  As a tuple it never equals an
+    exact int or Fraction, so a spectrum never merges it with one.
     """
 
-    coeffs: tuple[int, int, int, int]
-    index: int
     value: float
 
     def __float__(self) -> float:
@@ -78,10 +76,7 @@ class Spectrum(NamedTuple):
 
     def approx(self) -> tuple[float, ...]:
         """The full multiset as floats, descending, one entry per eigenvalue."""
-        out: list[float] = []
-        for value, mult in self.entries:
-            out.extend([float(value)] * mult)
-        return tuple(sorted(out, reverse=True))
+        return tuple(float(value) for value, mult in self.entries for _ in range(mult))
 
 
 def _canonical_spectrum(entries: Sequence[tuple[SpectrumValue, int]]) -> Spectrum:
@@ -89,8 +84,6 @@ def _canonical_spectrum(entries: Sequence[tuple[SpectrumValue, int]]) -> Spectru
     for value, mult in entries:
         if mult == 0:
             continue
-        if mult < 0:
-            raise ValueError(f"negative multiplicity {mult}")
         if not isinstance(value, CubicRoot):
             value = _exact(value)
         bag[value] = bag.get(value, 0) + mult
@@ -228,32 +221,24 @@ def charpoly_closed(params: FamilyParams) -> FactoredCharPoly:
     (1 - 2p - x) vanishes there, and the sign-flipped label 2p - 1 is a
     different number for every p >= 1.
     """
-    if params.k < 2:
-        raise DegenerateFamily(f"k = {params.k}: the factored form needs k >= 2")
-    e1 = params.k - 2
-    e2 = params.n - params.k - 1
-    if e2 < 0:
-        raise UnsupportedShape(
-            f"exponent n - k - 1 = {e2} is negative for params {params}"
-        )
-    return FactoredCharPoly(
-        root1=1 - 2 * params.p, e1=e1, root2=1, e2=e2, cubic=cubic_s(params)
-    )
+    cubic = cubic_s(params)  # raises DegenerateFamily for k < 2
+    return FactoredCharPoly(root1=1 - 2 * params.p, e1=params.k - 2,
+                            root2=1, e2=params.n - params.k - 1, cubic=cubic)
 
 
-def _rounded_root(a2: int, a1: int, disc: int, sign: int) -> float:
-    """The float nearest (-a1 + sign*sqrt(disc)) / (2*a2), for disc > 0 not a square.
+def _rounded_root(a1: int, disc: int, sign: int) -> float:
+    """The float nearest (a1 + sign*sqrt(disc)) / 2, for disc > 0 not a square.
 
     With t = isqrt(disc * 4^k) the root lies strictly inside (N, N + 1) /
-    (a2 * 2^(k+1)), for N = -a1 * 2^k + t or -a1 * 2^k - t - 1.  Rounding is
+    2^(k+1), for N = a1 * 2^k + t or a1 * 2^k - t - 1.  Rounding is
     monotone, so once both ends round to one float the root rounds to it
     too; k grows until they do.  Raises OverflowError beyond the float range.
     """
     k = max(0, 64 - disc.bit_length() // 2)
     while True:
         t = math.isqrt(disc << 2 * k)
-        low = (-a1 << k) + (t if sign > 0 else -t - 1)
-        den = a2 << (k + 1)
+        low = (a1 << k) + (t if sign > 0 else -t - 1)
+        den = 1 << (k + 1)
         value = low / den  # int / int rounds correctly
         if value == (low + 1) / den:
             return value
@@ -264,46 +249,33 @@ def spectrum_closed(params: FamilyParams) -> Spectrum:
     """Full eigenvalue multiset from the factored form.
 
     The cubic s always has the root 1 - 2p, so s = (x - (1 - 2p)) * q with
-    q a quadratic whose discriminant is (h - m)^2 + 8m(h - p) >= 0, where
-    m = n - h.  q's roots come from math.isqrt: exact ints or Fractions
-    when the discriminant is a square, which merge exactly with the linear
-    factors' eigenvalues, and otherwise CubicRoot descriptors carrying the
-    correctly rounded float.  Raises ComplexRoots when the cubic does not
-    split that way, and UnsupportedShape when an eigenvalue is beyond the
-    float range.
+    q = -x^2 + a1*x + a0, whose discriminant a1^2 + 4*a0 is (h - m)^2 +
+    8m(h - p) >= 0, where m = n - h.  q's roots (a1 +- sqrt(disc))/2 come
+    from math.isqrt: exact ints or Fractions when the discriminant is a
+    square, which merge exactly with the linear factors' eigenvalues, and
+    otherwise CubicRoot descriptors carrying the correctly rounded float.
+    Raises ComplexRoots when the cubic does not split that way, and
+    UnsupportedShape when an eigenvalue is beyond the float range.
     """
     fac = charpoly_closed(params)
     root = fac.root1
     c0, c1, c2, c3 = fac.cubic
-    # synthetic division: s = (x - root) * (a2*x^2 + a1*x + a0) + rest
-    a2 = c3
-    a1 = c2 + root * a2
+    # synthetic division: s = (x - root) * (-x^2 + a1*x + a0) + rest
+    a1 = c2 - root
     a0 = c1 + root * a1
     rest = c0 + root * a0
-    disc = a1 * a1 - 4 * a2 * a0
-    if rest or disc < 0:
+    disc = a1 * a1 + 4 * a0
+    if c3 != -1 or rest or disc < 0:
         raise ComplexRoots(
-            f"cubic {fac.cubic} is not ({root} - x) times a quadratic with real roots"
+            f"cubic {fac.cubic} is not ({root} - x) times x^2 + bx + c with real roots"
         )
-    entries: list[tuple[SpectrumValue, int]] = [
-        (root, fac.e1 + 1),
-        (fac.root2, fac.e2),
-    ]
-    signs = (1, -1) if a2 > 0 else (-1, 1)  # q's larger root first
+    entries: list[tuple[SpectrumValue, int]] = [(root, fac.e1 + 1), (fac.root2, fac.e2)]
     floor_sqrt = math.isqrt(disc)
     try:
         if floor_sqrt * floor_sqrt == disc:
-            entries += [(Fraction(-a1 + sign * floor_sqrt, 2 * a2), 1) for sign in signs]
+            entries += [(Fraction(a1 + sign * floor_sqrt, 2), 1) for sign in (1, -1)]
         else:
-            # how many of q's roots exceed root: one when a2*q(root) < 0,
-            # else none or both as root lies past q's vertex or before it
-            above = (1 if a2 * (a0 + root * (a1 + root * a2)) < 0
-                     else 0 if a2 * (2 * a2 * root + a1) > 0 else 2)
-            places = [i for i in range(3) if i != above]
-            entries += [
-                (CubicRoot(fac.cubic, place, _rounded_root(a2, a1, disc, sign)), 1)
-                for place, sign in zip(places, signs)
-            ]
+            entries += [(CubicRoot(_rounded_root(a1, disc, sign)), 1) for sign in (1, -1)]
         # ordering the spectrum takes every eigenvalue's float
         return _canonical_spectrum(entries)
     except OverflowError:

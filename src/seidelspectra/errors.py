@@ -10,7 +10,7 @@ class DegenerateFamily(ValueError):
 
 
 class UnsupportedShape(ValueError):
-    """A negative factored exponent, an eigenvalue beyond floats, or n over verify.N_MAX."""
+    """An eigenvalue beyond floats, or n over verify.N_MAX, or over DENSE_N_MAX to expand."""
 
 
 class SingularInput(ZeroDivisionError):
@@ -26,10 +26,10 @@ class NotSymmetric(ValueError):
 
 
 class ComplexRoots(ArithmeticError):
-    """The closed cubic does not split into (1 - 2p - x) times a real-rooted quadratic.
+    """The closed cubic does not split into (1 - 2p - x) times a real-rooted x^2 + bx + c.
 
-    Either division by (1 - 2p - x) leaves a remainder or the quotient's
-    discriminant is negative.
+    Either its leading coefficient is not -1, division by (1 - 2p - x)
+    leaves a remainder, or the quotient's discriminant is negative.
     """
 
 

@@ -85,7 +85,6 @@ class SweepSummary(NamedTuple):
     failed: int
     skipped: tuple[FamilyParams, ...]
     errors: tuple[tuple[FamilyParams, str], ...]
-    first_failure: FamilyParams | None
 
 
 def eig_numeric(m: object) -> tuple[float, ...]:
@@ -227,7 +226,6 @@ def sweep(
     reports: list[VerificationReport] = []
     skipped: list[FamilyParams] = []
     errors: list[tuple[FamilyParams, str]] = []
-    first_failure: FamilyParams | None = None
     for h in range(2, h_max + 1):
         for p in range(1, h + 1):
             for k in range(2, k_max + 1):
@@ -239,12 +237,8 @@ def sweep(
                     report = verify_instance(params)
                 except Exception as exc:
                     errors.append((params, f"{type(exc).__name__}: {exc}"))
-                    if first_failure is None:
-                        first_failure = params
                     continue
                 reports.append(report)
-                if not report.passed(tol) and first_failure is None:
-                    first_failure = params
     passed = sum(1 for r in reports if r.passed(tol))
     failed = len(reports) - passed + len(errors)
     grid = f"h in [2,{h_max}], p in [1,h], k in [2,{k_max}], n <= {n_cap}"
@@ -255,7 +249,6 @@ def sweep(
         failed=failed,
         skipped=tuple(skipped),
         errors=tuple(errors),
-        first_failure=first_failure,
     )
 
 

@@ -223,6 +223,53 @@ def test_sweep_json_rows(capsys, monkeypatch):
     assert all(r["n"] > 4 for r in skipped)
 
 
+def _boom_on_3_1_2(monkeypatch):
+    from seidelspectra import verify
+
+    real = verify.verify_instance
+
+    def boom(params):
+        if params[:3] == (3, 1, 2):
+            raise ValueError("boom")
+        return real(params)
+
+    monkeypatch.setattr(verify, "verify_instance", boom)
+
+
+def test_sweep_csv_gives_a_raising_point_a_row(capsys, monkeypatch):
+    _boom_on_3_1_2(monkeypatch)
+    assert main(["sweep", "--h-max", "3", "--k-max", "2"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[:3] for line in lines[1:5]] == [
+        ["2", "1", "2"], ["2", "2", "2"], ["3", "2", "2"], ["3", "3", "2"]]
+    assert lines[5:] == ["3,1,2,4,false,ValueError,"]
+    assert captured.err == ("error: h=3 p=1 k=2 n=4: ValueError: boom\n"
+                            "4 passed, 1 failed, 0 skipped\n")
+
+
+def test_sweep_json_gives_a_raising_point_a_row(capsys, monkeypatch):
+    _boom_on_3_1_2(monkeypatch)
+    assert main(["sweep", "--h-max", "3", "--k-max", "3", "--n-cap", "4",
+                 "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    assert [r["exact_match"] for r in rows[:3]] == [True] * 3
+    assert rows[3] == {"h": 3, "p": 1, "k": 2, "n": 4, "error": "ValueError: boom"}
+    assert len(rows) == 10 and all(r["skipped"] for r in rows[4:])
+    assert captured.err == ("error: h=3 p=1 k=2 n=4: ValueError: boom\n"
+                            "3 passed, 1 failed, 6 skipped\n")
+
+
+def test_spectrum_and_charpoly_refuse_k_one(capsys):
+    for command in ("spectrum", "charpoly"):
+        assert main([command, "--h", "3", "--p", "1", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k = 1: the factored form needs k >= 2\n"
+
+
 def test_export_dot(capsys):
     code = main(["export", "--h", "3", "--p", "1", "--k", "2"])
     out = capsys.readouterr().out

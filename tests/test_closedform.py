@@ -184,6 +184,15 @@ def test_factored_charpoly_bookkeeping():
         charpoly_closed(make_params(3, 2, 1))
 
 
+def test_k_one_is_refused_by_the_factored_form_and_the_spectrum():
+    # cubic_s raises for k < 2, and charpoly_closed and spectrum_closed reach it first
+    for query in [(3, 1, 1), (3, 2, 1)]:
+        for closed_form in (charpoly_closed, spectrum_closed):
+            with pytest.raises(DegenerateFamily) as caught:
+                closed_form(make_params(*query))
+            assert str(caught.value) == "k = 1: the factored form needs k >= 2"
+
+
 def test_factored_matches_oracle_on_hand_instances():
     for params in (make_params(3, 1, 2), make_params(2, 1, 3)):
         assert charpoly_closed(params).expand() == charpoly_oracle(

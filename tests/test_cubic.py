@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from seidelspectra import closedform
+from seidelspectra import closedform, verify
 from seidelspectra.cli import main
 from seidelspectra.closedform import CubicRoot, cubic_s, spectrum_closed
 from seidelspectra.errors import ComplexRoots
@@ -47,6 +47,13 @@ def _rational_roots(params):
 
 def _cubic_roots(params):
     return [v for v, _ in spectrum_closed(params).entries if isinstance(v, CubicRoot)]
+
+
+def _numpy_roots_of_q(cubic, p):
+    """numpy's roots of the cubic, descending, less the one nearest 1 - 2p."""
+    roots = sorted(np.roots([float(c) for c in cubic[::-1]]).real, reverse=True)
+    roots.remove(min(roots, key=lambda root: abs(root - (1 - 2 * p))))
+    return roots
 
 
 def _perfbench_queries():
@@ -196,12 +203,11 @@ def test_roots_sorted_descending():
         params = make_params(*query)
         values = [float(v) for v, _ in spectrum_closed(params).entries]
         assert values == sorted(values, reverse=True)
-        roots = _cubic_roots(params)
+        roots = [root.value for root in _cubic_roots(params)]
         if roots:
-            # the indices place the roots of s in descending order, 1 - 2p included
-            (place,) = {0, 1, 2} - {root.index for root in roots}
-            assert place == sum(root.value > 1 - 2 * params.p for root in roots)
-            assert [root.index for root in roots] == sorted(root.index for root in roots)
+            # q's two roots, strictly descending; 1 - 2p is the cubic's third root
+            assert len(roots) == 2 and roots[0] > roots[1]
+            assert 1 - 2 * params.p not in roots
 
 
 def test_integer_discriminant_stays_integer(monkeypatch):
@@ -223,6 +229,28 @@ def test_complex_pair_detected(monkeypatch):
     monkeypatch.setattr(closedform, "cubic_s", split_complex)
     with pytest.raises(ComplexRoots):
         spectrum_closed(make_params(3, 1, 2))
+
+
+def test_cubic_with_leading_coefficient_other_than_minus_one_is_rejected(monkeypatch):
+    # 2s splits as (1 - 2p - x) times a real-rooted quadratic too, so only
+    # the c3 = -1 check refuses it: the family's cubic always leads with -1
+    real = closedform.cubic_s
+
+    def doubled(params):
+        return tuple(2 * c for c in real(params))
+
+    monkeypatch.setattr(closedform, "cubic_s", doubled)
+    for query in [(3, 1, 2), (2, 1, 3), (7, 7, 5), (10**9, 12345, 10**6)]:
+        params = make_params(*query)
+        c0, c1, c2, c3 = doubled(params)
+        r = 1 - 2 * params.p
+        a1 = c2 + r * c3
+        a0 = c1 + r * a1
+        assert c0 + r * a0 == 0 and a1 * a1 - 4 * c3 * a0 >= 0
+        with pytest.raises(ComplexRoots):
+            spectrum_closed(params)
+    report = verify.verify_instance(make_params(3, 1, 2))
+    assert report.spectrum is None and not report.passed()
 
 
 def test_moved_root_is_rejected(monkeypatch):
@@ -249,11 +277,10 @@ def test_large_roots_pass_the_exact_certificate(h, p, k, capsys):
                  "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert sum(e["multiplicity"] for e in payload["eigenvalues"]) == payload["n"]
-    reference = sorted(np.roots(payload["cubic"][::-1]).real, reverse=True)
     roots = _cubic_roots(make_params(h, p, k))
     assert len(roots) == 2
-    for root in roots:
-        assert abs(root.value - reference[root.index]) / max(1.0, abs(root.value)) < 1e-9
+    for root, reference in zip(roots, _numpy_roots_of_q(payload["cubic"], p)):
+        assert abs(root.value - reference) / max(1.0, abs(root.value)) < 1e-9
 
 
 def test_gate_query_agrees_with_numpy(capsys):
@@ -262,12 +289,10 @@ def test_gate_query_agrees_with_numpy(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert sum(e["multiplicity"] for e in payload["eigenvalues"]) == payload["n"]
-    coeffs = [float(c) for c in payload["cubic"][::-1]]
-    reference = sorted(np.roots(coeffs).real, reverse=True)
     roots = _cubic_roots(make_params(10**9, 12345, 10**6))
     assert len(roots) == 2
-    for root in roots:
-        assert abs(root.value - reference[root.index]) / abs(root.value) < 1e-9
+    for root, reference in zip(roots, _numpy_roots_of_q(payload["cubic"], 12345)):
+        assert abs(root.value - reference) / abs(root.value) < 1e-9
 
 
 def test_eigenvalues_beyond_floats_are_refused(capsys):

@@ -136,7 +136,6 @@ def test_sweep_small_grid():
     assert summary.failed == 0
     assert summary.skipped == ()
     assert summary.errors == ()
-    assert summary.first_failure is None
     assert "h in [2,3]" in summary.grid
 
 
