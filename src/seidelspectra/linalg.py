@@ -1,10 +1,10 @@
 """Exact dense linear algebra on numpy arrays.
 
 Integer matrices that fit in 64 bits, such as the family's int8 Seidel
-matrices, are signed-integer arrays, never widened whole, which
-:func:`charpoly_oracle` and :func:`trace_exact` take after a dtype check
-alone.  Other matrices are
-object arrays of Python ints, ``fractions.Fraction`` values or
+matrices and the oracle's twin quotients, are signed-integer arrays, never
+widened whole, which :func:`charpoly_oracle` and :func:`trace_exact` take
+after a dtype check alone.  Other matrices are object arrays of Python
+ints, ``fractions.Fraction`` values or
 :class:`~seidelspectra.polynomial.UniPoly`, made by :func:`exact_matrix`
 where big-int, rational or polynomial arithmetic needs them; nothing in
 this module touches floating point.  Bareiss elimination gives integer
@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -315,22 +314,21 @@ def _integer_matrix(m: object) -> Matrix:
     """m as a square signed-integer array, or as an object array of Python ints.
 
     Signed-integer arrays pass on a dtype check alone, unwidened.  Other input
-    goes through :func:`exact_matrix` and stays Python ints when an entry does
-    not fit int64 (uint64 from 2^63 up, large Python ints): nothing wraps.
+    goes through :func:`exact_matrix` into the narrowest signed dtype, or stays
+    Python ints past int64 (uint64 from 2^63 up, large Python ints): no wrap.
     """
     a = _checked_matrix(m)
     if a.dtype.kind != "i":
         if not all(isinstance(e, int) for e in a.flat):
             raise TypeError("charpoly_oracle expects integer entries")
-        a = _int64_if_fits(a)
+        a = _narrowest(a, max(-a.min(initial=0), a.max(initial=0)))
     _require_square(a, "characteristic polynomial")
     return a
 
 
-def _int64_if_fits(a: Matrix) -> Matrix:
-    """An object array of Python ints as int64 when every entry fits, else as it is."""
-    fits = all(-(1 << 63) <= e < 1 << 63 for e in a.flat)
-    return a.astype(np.int64) if fits else a
+def _narrowest(a: Matrix, bound: int) -> Matrix:
+    """a in the narrowest signed dtype that holds -bound .. bound, else as Python ints."""
+    return a.astype(np.min_scalar_type(-bound - 1), copy=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,22 +352,23 @@ def _row_blocks(a: Matrix) -> list[Matrix]:
     return [a[start:start + step] for start in range(0, a.shape[0], step)]
 
 
-def _twin_values(a: Matrix) -> Sequence[int]:
-    """Candidate twin entries t: a's distinct off-diagonal entries, only -1,
-    0 and 1 past n of them, or every integer between a's least and greatest
-    entry when those are at most 2 apart.  They set speed, never the answer."""
-    n = a.shape[0]
-    low, high = int(a.min()), int(a.max())
+def _twin_values(a: Matrix, low: int, high: int) -> Sequence[int]:
+    """Candidate twin entries t, for speed only: low .. high (a's extremes) when at most 2
+    apart, else the distinct a[u, v], u != v, d_u = d_v; -1, 0, 1 past len(a) of them."""
     if high - low <= 2:
         return range(low, high + 1)
-    counts: Counter[int] = Counter()
+    diagonal = np.diagonal(a)
+    values: set[int] = set()
+    start = 0
     for rows in _row_blocks(a):
-        counts.update(rows.ravel().tolist())
-        if len(counts) > 2 * n:  # more than n left without the diagonal
+        paired = diagonal[start:start + len(rows), None] == diagonal
+        paired.flat[start::len(a) + 1] = False  # the block's own diagonal entries
+        ordered = np.sort(rows[paired])  # np.unique would import numpy.ma, 15 ms and 1 MB
+        values.update(ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))].tolist())
+        if len(values) > len(a):
             return (-1, 0, 1)
-    counts.subtract(np.diagonal(a).tolist())
-    values = sorted(value for value, count in counts.items() if count > 0)
-    return values if len(values) <= n else (-1, 0, 1)
+        start += len(rows)
+    return sorted(values)
 
 
 def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
@@ -384,20 +383,21 @@ def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
     hash sets speed, never the answer.  No vertex is a twin for two values
     of t (u ~ v for t and u ~ w for t' make a[w, v] both t and t').
     B[i, j] = a[rep_i, rep_j] * |C_j| and B[i, i] = d_i + t_i * (|C_i| - 1)
-    are built on Python ints.
+    are built in the narrowest dtype that holds max |a| * max |C|.
     """
     n = a.shape[0]
     diagonal = np.diagonal(a)
     if len(set(diagonal.tolist())) == n:  # twins share a diagonal entry
         return None
     weights = _twin_weights(n).astype(object if a.dtype == object else np.int64, copy=False)
+    low, high = int(a.min()), int(a.max())
     # adding t * weights to this row hash puts t on the diagonal; @ widens
     # a whole and einsum in buffers, so @ only serves a small a
     row_hash = a @ weights if a.size <= _BLOCK_ENTRIES else np.einsum("ij,j->i", a, weights)
     off_diagonal = row_hash - diagonal * weights
     head = np.arange(n)  # lowest index of each vertex's cell
     twin = np.zeros(n, dtype=a.dtype)  # the cell's t, 0 for a singleton
-    for value in _twin_values(a):
+    for value in _twin_values(a, low, high):
         keys = off_diagonal + value * weights
         chain = np.lexsort((diagonal, keys))  # by key, then diagonal, then index
         ranked = keys[chain]
@@ -430,16 +430,16 @@ def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
     reps = np.flatnonzero(head == np.arange(n))
     if reps.size == n:
         return None
-    sizes = np.bincount(head)[reps].tolist()
-    quotient = a[reps][:, reps].tolist()
+    sizes = np.bincount(head)[reps]
+    quotient = _narrowest(a[reps[:, None], reps], max(-low, high) * int(sizes.max()))
+    quotient *= sizes
     factors: dict[int, int] = {}
-    for i, (row, size, t) in enumerate(zip(quotient, sizes, twin[reps].tolist())):
-        d = row[i]
-        row[:] = [e * s for e, s in zip(row, sizes)]
-        row[i] = d + t * (size - 1)
+    classes = zip(diagonal[reps].tolist(), twin[reps].tolist(), sizes.tolist())
+    for i, (d, t, size) in enumerate(classes):
+        quotient[i, i] = d + t * (size - 1)
         if size > 1:
             factors[d - t] = factors.get(d - t, 0) + size - 1
-    return _int64_if_fits(np.array(quotient, dtype=object)), factors
+    return quotient, factors
 
 
 def _coefficient_bound(a: Matrix) -> int:

@@ -33,8 +33,8 @@ __all__ = [
 
 DEFAULT_N_CAP = 40
 
-#: Largest n that verify_instance takes: its int8 matrix and the exact
-#: referees need about 130 MB and a second or two here.
+#: Largest n that verify_instance takes: its int8 matrix and the exact referees
+#: need at most about 150 MB and 2-3 s on 2 cores (many cliques of 2, k = 5000).
 N_MAX = 10_000
 
 #: Largest n for the numeric referee (two 8n^2 float copies), for expanding
@@ -43,6 +43,11 @@ DENSE_N_MAX = 3000
 
 #: Most (h, p, k) points a sweep takes, skipped ones included.
 SWEEP_POINTS_MAX = 10**6
+
+#: Most summed cost of the points a sweep verifies, n^3 each up to DENSE_N_MAX
+#: (eigvalsh) and n^2 above.  10^12 is 75-140 s of eigvalsh at n = 1000 (2 cores
+#: or 1); the grid h <= 1413, k <= 2, n <= 3000, days of work, costs 4.2e15.
+SWEEP_COST_MAX = 10**12
 
 
 class InvariantResults(NamedTuple):
@@ -215,7 +220,8 @@ def sweep(
     Points with n above ``n_cap`` are skipped and listed.  Iteration order
     is (h, p, k) ascending and the summary is deterministic; per-point
     exceptions are recorded, never raised.  A grid of more than
-    SWEEP_POINTS_MAX points is refused before any point runs.
+    SWEEP_POINTS_MAX points, or whose verified points cost more than
+    SWEEP_COST_MAX, is refused before any point runs.
     """
     if h_max < 2 or k_max < 2:
         raise InvalidParams(f"sweep bounds must be >= 2 (got h_max={h_max}, k_max={k_max})")
@@ -223,6 +229,13 @@ def sweep(
     if points > SWEEP_POINTS_MAX:
         raise InvalidParams(f"the grid has {points} points, above SWEEP_POINTS_MAX = "
                             f"{SWEEP_POINTS_MAX}")
+    # n = h + (k - 1) * p for p = 1 .. h, up to n_cap
+    cost = sum(n ** 3 if n <= DENSE_N_MAX else n * n
+               for h in range(2, h_max + 1) for k in range(2, k_max + 1)
+               for n in range(h + k - 1, min(h * k, n_cap) + 1, k - 1))
+    if cost > SWEEP_COST_MAX:
+        raise InvalidParams(f"the grid's verified points cost {cost} (n^3 each up to "
+                            f"DENSE_N_MAX, n^2 above), above SWEEP_COST_MAX = {SWEEP_COST_MAX}")
     reports: list[VerificationReport] = []
     skipped: list[FamilyParams] = []
     errors: list[tuple[FamilyParams, str]] = []

@@ -682,6 +682,22 @@ def test_oracle_on_3000_rows_copies_row_blocks_only():
         assert peak < 4 * 2**20, shape
 
 
+def test_oracle_on_1500_cliques_of_two_keeps_an_int8_quotient():
+    # n = 3000 in classes of 2: the first quotient is 1500 x 1500 with
+    # entries up to 2 in size, narrowed to int8 and scaled in place, never
+    # held as Python ints or int64
+    s = seidel_matrix(make_params(2, 2, 1500))
+    quotient, _ = linalg._twin_quotient(s)
+    assert quotient.shape == (1500, 1500) and quotient.dtype == np.int8
+    del quotient
+    tracemalloc.start()
+    residual, roots = linalg._charpoly_factored(s)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert roots == {1: 1500, -3: 1499} and residual.degree == 1
+    assert peak < 8 * 2**20
+
+
 def test_int8_matrix_without_twins_matches_int64():
     # no twins, so the whole int8 matrix reaches the modular reduction,
     # where a 31-bit prime does not fit int8

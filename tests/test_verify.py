@@ -11,6 +11,7 @@ from seidelspectra.polynomial import UniPoly
 from seidelspectra.verify import (
     DENSE_N_MAX,
     N_MAX,
+    SWEEP_COST_MAX,
     SWEEP_POINTS_MAX,
     InvariantResults,
     VerificationReport,
@@ -176,6 +177,51 @@ def test_sweep_refuses_a_grid_above_sweep_points_max_at_once():
     with pytest.raises(InvalidParams, match="SWEEP_POINTS_MAX"):
         sweep(100_000, 2)
     assert time.perf_counter() - start < 0.1
+
+
+def sweep_cost(h_max, k_max, n_cap):
+    """The cost of a sweep's verified points, one by one: n^3 up to DENSE_N_MAX, n^2 above."""
+    ns = [h + (k - 1) * p for h in range(2, h_max + 1) for p in range(1, h + 1)
+          for k in range(2, k_max + 1)]
+    return sum(n ** 3 if n <= DENSE_N_MAX else n * n for n in ns if n <= n_cap)
+
+
+def test_sweep_refuses_a_grid_above_sweep_cost_max_before_any_point(monkeypatch):
+    from seidelspectra import verify
+
+    def must_not_run(params):
+        raise AssertionError(f"{params} ran before the refusal")
+
+    monkeypatch.setattr(verify, "verify_instance", must_not_run)
+    # within SWEEP_POINTS_MAX, but every point is verified and (1413, 700, 3)
+    # alone takes seconds: the whole grid would run for days
+    assert grid_points(1413, 2) <= SWEEP_POINTS_MAX
+    start = time.perf_counter()
+    with pytest.raises(InvalidParams, match="above SWEEP_COST_MAX = 1000000000000"):
+        sweep(1413, 2, n_cap=3000)
+    assert time.perf_counter() - start < 2
+    # the bound is inclusive and counts the points up to n_cap alone; n =
+    # 2 + (k - 1) * p reaches 3002 (p = 2, k = 1501), past the numeric
+    # referee, where a point costs n^2
+    cost = sweep_cost(2, 1600, 3002)
+    assert cost - sweep_cost(2, 1600, DENSE_N_MAX) == 3002**2
+    monkeypatch.setattr(verify, "SWEEP_COST_MAX", cost - 1)
+    with pytest.raises(InvalidParams, match=f"cost {cost} "):
+        sweep(2, 1600, n_cap=3002)
+    monkeypatch.setattr(verify, "SWEEP_COST_MAX", cost)
+    monkeypatch.setattr(verify, "verify_instance", lambda params: 1 / 0)
+    assert len(sweep(2, 1600, n_cap=3002).errors) == 1599 + 1500  # p = 1, p = 2
+
+
+def test_sweep_cost_max_lets_a_large_grid_through(monkeypatch):
+    from seidelspectra import verify
+
+    assert sweep_cost(30, 30, 3000) <= SWEEP_COST_MAX  # about 3.2e11
+    monkeypatch.setattr(verify, "verify_instance", lambda params: 1 / 0)
+    summary = sweep(30, 30, n_cap=3000)
+    assert len(summary.errors) + len(summary.skipped) == grid_points(30, 30)
+    assert all(params.n <= 3000 for params, _ in summary.errors)
+    assert sweep_cost(7, 5, 40) <= SWEEP_COST_MAX  # perfbench's sweep-grid, about 4.4e5
 
 
 def test_sweep_point_count_matches_the_grid():
