@@ -364,7 +364,7 @@ def _twin_values(a: Matrix, low: int, high: int) -> Sequence[int]:
         paired = diagonal[start:start + len(rows), None] == diagonal
         paired.flat[start::len(a) + 1] = False  # the block's own diagonal entries
         ordered = np.sort(rows[paired])  # np.unique would import numpy.ma, 15 ms and 1 MB
-        values.update(ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))].tolist())
+        values.update(ordered[:1].tolist() + ordered[1:][ordered[1:] != ordered[:-1]].tolist())
         if len(values) > len(a):
             return (-1, 0, 1)
         start += len(rows)

@@ -44,9 +44,9 @@ DENSE_N_MAX = 3000
 #: Most (h, p, k) points a sweep takes, skipped ones included.
 SWEEP_POINTS_MAX = 10**6
 
-#: Most summed cost of the points a sweep verifies, n^3 each up to DENSE_N_MAX
-#: (eigvalsh) and n^2 above.  10^12 is 75-140 s of eigvalsh at n = 1000 (2 cores
-#: or 1); the grid h <= 1413, k <= 2, n <= 3000, days of work, costs 4.2e15.
+#: Most summed cost of the points a sweep verifies, n^3 each (eigvalsh).  10^12
+#: is 75-140 s of eigvalsh at n = 1000 (2 cores or 1); the grid h <= 1413,
+#: k <= 2, n <= 3000, days of work, costs 4.2e15.
 SWEEP_COST_MAX = 10**12
 
 
@@ -230,12 +230,11 @@ def sweep(
         raise InvalidParams(f"the grid has {points} points, above SWEEP_POINTS_MAX = "
                             f"{SWEEP_POINTS_MAX}")
     # n = h + (k - 1) * p for p = 1 .. h, up to n_cap
-    cost = sum(n ** 3 if n <= DENSE_N_MAX else n * n
-               for h in range(2, h_max + 1) for k in range(2, k_max + 1)
+    cost = sum(n ** 3 for h in range(2, h_max + 1) for k in range(2, k_max + 1)
                for n in range(h + k - 1, min(h * k, n_cap) + 1, k - 1))
     if cost > SWEEP_COST_MAX:
-        raise InvalidParams(f"the grid's verified points cost {cost} (n^3 each up to "
-                            f"DENSE_N_MAX, n^2 above), above SWEEP_COST_MAX = {SWEEP_COST_MAX}")
+        raise InvalidParams(f"the grid's verified points cost {cost} (n^3 each), above "
+                            f"SWEEP_COST_MAX = {SWEEP_COST_MAX}")
     reports: list[VerificationReport] = []
     skipped: list[FamilyParams] = []
     errors: list[tuple[FamilyParams, str]] = []

@@ -698,6 +698,34 @@ def test_oracle_on_1500_cliques_of_two_keeps_an_int8_quotient():
     assert peak < 8 * 2**20
 
 
+def unshared_diagonal_first(n, unshared, seed):
+    """Random +-1 entries with diagonal 0 .. unshared - 1 on the first rows
+    and 1000 on the rest, of which all but the first copy it as twins, t = 1."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.choice([-1, 1], size=(unshared + 1, unshared + 1)), 1)
+    index = np.minimum(np.arange(n), unshared)
+    m = (upper + upper.T)[index[:, None], index]
+    m[unshared:, unshared:] = 1
+    np.fill_diagonal(m, np.r_[np.arange(unshared), np.full(n - unshared, 1000)])
+    return m
+
+
+def test_a_row_block_without_shared_diagonals_proposes_no_twin_entry(monkeypatch):
+    # n = 600 reads in blocks of 436 rows; the first block's diagonal entries
+    # 0 .. 435 are shared with no other vertex, so it proposes nothing
+    m = unshared_diagonal_first(600, 436, seed=600)
+    assert len(linalg._row_blocks(m)[0]) == 436
+    assert 1 in linalg._twin_values(m, int(m.min()), int(m.max()))
+    quotient, roots = linalg._twin_quotient(m)
+    assert quotient.shape == (437, 437) and roots == {999: 163}
+    # the same shape small enough for the undeflated path: blocks of 5 rows
+    monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 64)
+    m = unshared_diagonal_first(12, 5, seed=12)
+    assert len(linalg._row_blocks(m)[0]) == 5
+    assert charpoly_oracle(m) == linalg._charpoly_multimodular(m)
+    assert linalg._charpoly_factored(m)[1] == {999: 6}
+
+
 def test_int8_matrix_without_twins_matches_int64():
     # no twins, so the whole int8 matrix reaches the modular reduction,
     # where a 31-bit prime does not fit int8

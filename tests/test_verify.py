@@ -180,10 +180,10 @@ def test_sweep_refuses_a_grid_above_sweep_points_max_at_once():
 
 
 def sweep_cost(h_max, k_max, n_cap):
-    """The cost of a sweep's verified points, one by one: n^3 up to DENSE_N_MAX, n^2 above."""
+    """The cost of a sweep's verified points, one by one: n^3 each."""
     ns = [h + (k - 1) * p for h in range(2, h_max + 1) for p in range(1, h + 1)
           for k in range(2, k_max + 1)]
-    return sum(n ** 3 if n <= DENSE_N_MAX else n * n for n in ns if n <= n_cap)
+    return sum(n ** 3 for n in ns if n <= n_cap)
 
 
 def test_sweep_refuses_a_grid_above_sweep_cost_max_before_any_point(monkeypatch):
@@ -200,17 +200,16 @@ def test_sweep_refuses_a_grid_above_sweep_cost_max_before_any_point(monkeypatch)
     with pytest.raises(InvalidParams, match="above SWEEP_COST_MAX = 1000000000000"):
         sweep(1413, 2, n_cap=3000)
     assert time.perf_counter() - start < 2
-    # the bound is inclusive and counts the points up to n_cap alone; n =
-    # 2 + (k - 1) * p reaches 3002 (p = 2, k = 1501), past the numeric
-    # referee, where a point costs n^2
-    cost = sweep_cost(2, 1600, 3002)
-    assert cost - sweep_cost(2, 1600, DENSE_N_MAX) == 3002**2
+    # the bound is inclusive and counts the points up to n_cap alone: n =
+    # 2 + (k - 1) * p is 1200 at p = 2, k = 600 and nowhere else
+    cost = sweep_cost(2, 1000, 1200)
+    assert cost - sweep_cost(2, 1000, 1199) == 1200**3
     monkeypatch.setattr(verify, "SWEEP_COST_MAX", cost - 1)
     with pytest.raises(InvalidParams, match=f"cost {cost} "):
-        sweep(2, 1600, n_cap=3002)
+        sweep(2, 1000, n_cap=1200)
     monkeypatch.setattr(verify, "SWEEP_COST_MAX", cost)
     monkeypatch.setattr(verify, "verify_instance", lambda params: 1 / 0)
-    assert len(sweep(2, 1600, n_cap=3002).errors) == 1599 + 1500  # p = 1, p = 2
+    assert len(sweep(2, 1000, n_cap=1200).errors) == 999 + 599  # p = 1, p = 2
 
 
 def test_sweep_cost_max_lets_a_large_grid_through(monkeypatch):
