@@ -242,9 +242,8 @@ def _add_family_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _tolerance(text: str) -> float:
-    """A finite --tol of at least 2^-50.  It bounds the numeric referee's
-    deviation from the closed form, whose floats are only correctly rounded
-    (2^-53 relative), so a tighter bound could reject a correct instance;
+    """A finite --tol of at least 2^-50.  verify's bound on the numeric deviation
+    is never below eigvalsh's rounding error (``VerificationReport.passed``);
     spectrum takes it too, and its floats never depend on it."""
     try:
         value = float(text)

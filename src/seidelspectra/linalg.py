@@ -11,17 +11,14 @@ this module touches floating point.  Bareiss elimination gives integer
 and rational determinants (rows scaled to integers), Gauss-Jordan over
 Fraction gives inverses, and cofactor expansion gives adjugates and
 polynomial-entried determinants.  Characteristic polynomials of integer
-matrices come from a multimodular method: upper Hessenberg reduction
-modulo 31-bit primes in int64 numpy arithmetic, the Hessenberg recurrence
-for det(x*I - H) mod p, and Chinese remaindering up to a proven Hadamard
-bound on the coefficients (Cohen, *A Course in Computational Algebraic
-Number Theory*, Alg. 2.2.9; Dumas, Pernet and Wan, ISSAC 2005), run on
-the quotient left when classes of twin vertices, with any integer entry
-between twins, are deflated again and again until none merge (Godsil and
-Royle, *Algebraic Graph Theory*, Sec. 9.3; Cvetkovic, Rowlinson and
-Simic, *An Introduction to the Theory of Graph Spectra*, Sec. 3.9);
-``_charpoly_factored`` returns that quotient's polynomial and the linear
-factors unexpanded.
+matrices deflate classes of twin vertices (any integer entry between twins;
+found by exact byte keys when small, else by an exactly checked row hash)
+until none merge (Godsil and Royle, *Algebraic Graph Theory*, Sec. 9.3).
+``_charpoly_factored`` reads a quotient of at most 2 rows off its entries
+and takes a larger one to Hessenberg reduction modulo 31-bit primes in int64
+and Chinese remaindering up to a proven Hadamard bound (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9; Dumas, Pernet and Wan,
+ISSAC 2005), leaving the linear factors unexpanded.
 
 Characteristic polynomial convention: :func:`charpoly_oracle` returns
 det(M - x*I), whose leading coefficient is (-1)^n.
@@ -331,13 +328,9 @@ def _narrowest(a: Matrix, bound: int) -> Matrix:
     return a.astype(np.min_scalar_type(-bound - 1), copy=False)
 
 
-@functools.lru_cache(maxsize=64)
 def _twin_weights(n: int) -> np.ndarray:
-    """Fixed hash weights for grouping rows, shared and read-only; they set
-    speed, never the answer."""
-    weights = np.arange(1, n + 1, dtype=np.int64) * 2654435761 % ((1 << 20) - 3) + 1
-    weights.flags.writeable = False
-    return weights
+    """Fixed hash weights for grouping rows; they set speed, never the answer."""
+    return np.arange(1, n + 1, dtype=np.int64) * 2654435761 % ((1 << 20) - 3) + 1
 
 
 #: Twin detection reads the matrix in blocks of about this many entries.
@@ -357,7 +350,7 @@ def _twin_values(a: Matrix, low: int, high: int) -> Sequence[int]:
     apart, else the distinct a[u, v], u != v, d_u = d_v; -1, 0, 1 past len(a) of them."""
     if high - low <= 2:
         return range(low, high + 1)
-    diagonal = np.diagonal(a)
+    diagonal = a.diagonal()
     values: set[int] = set()
     start = 0
     for rows in _row_blocks(a):
@@ -371,33 +364,42 @@ def _twin_values(a: Matrix, low: int, high: int) -> Sequence[int]:
     return sorted(values)
 
 
-def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
-    """One deflation pass: a's twin quotient B and {root: exponent}, or None.
+#: Most bytes of exact twin keys, candidates x n x (2n + 1) entries: on the family's
+#: int8 matrices (3 candidates) they cost about what the row hash does near n = 150.
+_EXACT_KEY_BYTES = 1 << 17
 
-    Twins u, v have equal diagonals d, the entry t both ways between them
-    and equal rows and columns outside {u, v}; for one t that is an
-    equivalence.  Per candidate t, a row hash (int64, it may wrap) that is
-    symmetric in a twin pair sorts the vertices, ties by diagonal; each
-    vertex of a run of ties is checked exactly against the run's first, in
-    row blocks, and the run's rest again against its own first, so the
-    hash sets speed, never the answer.  No vertex is a twin for two values
-    of t (u ~ v for t and u ~ w for t' make a[w, v] both t and t').
-    B[i, j] = a[rep_i, rep_j] * |C_j| and B[i, i] = d_i + t_i * (|C_i| - 1)
-    are built in the narrowest dtype that holds max |a| * max |C|.
-    """
+
+def _exact_twins(a: Matrix, values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Classes by exact keys: per candidate t, each vertex's diagonal, row and column
+    with t on the diagonal, as bytes.  Equal keys are twins, and keys for two values
+    of t never tie (the entries between the two vertices would be both)."""
+    n, width = a.shape[0], 2 * a.shape[0] + 1
+    ts = np.asarray(values, dtype=a.dtype)
+    keys = np.empty((ts.size, n, width), dtype=a.dtype)
+    keys[:, :, 0], keys[:, :, 1:n + 1], keys[:, :, n + 1:] = a.diagonal(), a, a.T
+    flat = keys.reshape(ts.size, n * width)  # entries (u, 1 + u) and (u, n + 1 + u):
+    flat[:, 1::width + 1] = flat[:, n + 1::width + 1] = ts[:, None]
+    keys = keys.view(np.dtype((np.void, width * a.itemsize))).ravel()
+    order = keys.argsort(kind="stable")  # a class's first is its lowest vertex
+    ranked = keys[order]
+    same = np.concatenate(([False], ranked[1:] == ranked[:-1]))  # tied with the one before
+    lead = order[np.maximum.accumulate(np.where(same, 0, np.arange(same.size)))[same]]
+    head, twin = np.arange(n), np.zeros(n, dtype=a.dtype)  # a cell's lowest vertex and t
+    head[order[same] % n] = lead % n
+    twin[lead % n] = ts[lead // n]
+    return head, twin
+
+
+def _hashed_twins(a: Matrix, values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Classes by a row hash (int64, it may wrap) symmetric in a twin pair; each run of
+    ties is checked exactly against its first in row blocks, what is left of it again."""
     n = a.shape[0]
-    diagonal = np.diagonal(a)
-    if len(set(diagonal.tolist())) == n:  # twins share a diagonal entry
-        return None
+    diagonal = a.diagonal()
     weights = _twin_weights(n).astype(object if a.dtype == object else np.int64, copy=False)
-    low, high = int(a.min()), int(a.max())
-    # adding t * weights to this row hash puts t on the diagonal; @ widens
-    # a whole and einsum in buffers, so @ only serves a small a
-    row_hash = a @ weights if a.size <= _BLOCK_ENTRIES else np.einsum("ij,j->i", a, weights)
-    off_diagonal = row_hash - diagonal * weights
-    head = np.arange(n)  # lowest index of each vertex's cell
-    twin = np.zeros(n, dtype=a.dtype)  # the cell's t, 0 for a singleton
-    for value in _twin_values(a, low, high):
+    # adding t * weights puts t on the diagonal; einsum widens a in buffers, not whole
+    off_diagonal = np.einsum("ij,j->i", a, weights) - diagonal * weights
+    head, twin = np.arange(n), np.zeros(n, dtype=a.dtype)  # as in _exact_twins
+    for value in values:
         keys = off_diagonal + value * weights
         chain = np.lexsort((diagonal, keys))  # by key, then diagonal, then index
         ranked = keys[chain]
@@ -410,8 +412,7 @@ def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
             u = chain[lead]  # the run's first vertex
             linked = same & (a[u, chain] == value) & (a[chain, u] == value)
             linked &= diagonal[u] == diagonal[chain]
-            # then twins' columns, and their rows, differ in their own two
-            # rows alone, where d != t
+            # then twins' columns, and rows, differ in their own two rows alone, where d != t
             expected = 2 * (diagonal[chain] != value)
             for view in (a, a.T):
                 differ = 0
@@ -427,18 +428,41 @@ def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
                 break
             chain, lead = chain[left], lead[left]
             same = np.concatenate(([False], lead[1:] == lead[:-1]))
+    return head, twin
+
+
+def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
+    """One deflation pass: a's twin quotient B and {root: exponent}, or None.
+
+    Twins u, v have equal diagonals d, the entry t both ways between them
+    and equal rows and columns outside {u, v}; for one t that is an
+    equivalence, and no vertex is a twin for two values of t (u ~ v for t
+    and u ~ w for t' make a[w, v] both t and t').  Classes, each headed by
+    its lowest vertex, come from :func:`_exact_twins`, or on object input and
+    above _EXACT_KEY_BYTES of keys from :func:`_hashed_twins`.
+    B[i, j] = a[rep_i, rep_j] * |C_j| and B[i, i] = d_i + t_i * (|C_i| - 1)
+    are built in the narrowest dtype that holds max |a| * max |C|, and so d - t.
+    """
+    n = a.shape[0]
+    diagonal = a.diagonal()
+    if len(set(diagonal.tolist())) == n:  # twins share a diagonal entry
+        return None
+    low, high = int(a.min()), int(a.max())
+    values = _twin_values(a, low, high)
+    exact = a.dtype != object and len(values) * n * (2 * n + 1) * a.itemsize <= _EXACT_KEY_BYTES
+    head, twin = (_exact_twins if exact else _hashed_twins)(a, values)
     reps = np.flatnonzero(head == np.arange(n))
     if reps.size == n:
         return None
     sizes = np.bincount(head)[reps]
     quotient = _narrowest(a[reps[:, None], reps], max(-low, high) * int(sizes.max()))
     quotient *= sizes
+    d, t = diagonal[reps].astype(quotient.dtype), twin[reps].astype(quotient.dtype)
+    quotient.flat[::reps.size + 1] = d + t * (sizes - 1)
     factors: dict[int, int] = {}
-    classes = zip(diagonal[reps].tolist(), twin[reps].tolist(), sizes.tolist())
-    for i, (d, t, size) in enumerate(classes):
-        quotient[i, i] = d + t * (size - 1)
-        if size > 1:
-            factors[d - t] = factors.get(d - t, 0) + size - 1
+    for root, exponent in zip((d - t).tolist(), (sizes - 1).tolist()):
+        if exponent:
+            factors[root] = factors.get(root, 0) + exponent
     return quotient, factors
 
 
@@ -502,7 +526,13 @@ def _charpoly_factored(m: object) -> tuple[UniPoly, dict[int, int]]:
         a, factors = deflated
         for root, exponent in factors.items():
             roots[root] = roots.get(root, 0) + exponent
-    return _charpoly_multimodular(a), roots
+    if len(a) > 2:
+        return _charpoly_multimodular(a), roots
+    # 1 or 2 rows: det(a - x*I) off the entries, as Python ints so that no product wraps
+    if len(a) == 1:
+        return UniPoly([a.item(0), -1]), roots
+    (a00, a01), (a10, a11) = a.tolist()
+    return UniPoly([a00 * a11 - a01 * a10, -(a00 + a11), 1]), roots
 
 
 def charpoly_oracle(m: object) -> UniPoly:
@@ -513,26 +543,20 @@ def charpoly_oracle(m: object) -> UniPoly:
     agree outside {u, v}.  They are cells of an equitable partition, so
     det(m - x*I) is det(B - x*I) for the quotient B of :func:`_twin_quotient`
     times (d - t - x)^(|C| - 1) per class C (Godsil and Royle, *Algebraic
-    Graph Theory*, Sec. 9.3; Cvetkovic, Rowlinson and Simic, *An
-    Introduction to the Theory of Graph Spectra*, Sec. 3.9), and B is
-    deflated again until nothing merges: to 2 rows for the family.  This
-    is the product of :func:`_charpoly_factored`'s factored form.  Then
-    the modular method: for 31-bit primes p, reduce B mod p
-    to upper Hessenberg form with int64 row and column operations, read
-    det(x*I - H) mod p off the Hessenberg recurrence, and combine the
-    residues by the Chinese remainder theorem into symmetric residues.
-    Primes are added until their product exceeds 2*N, where
-    N = prod (1 + ceil(||row||_2)) bounds every coefficient (Hadamard on
-    the principal minors), so the result is proven exact, not merely
-    stable.  References: H. Cohen, *A Course in Computational Algebraic
-    Number Theory*, Alg. 2.2.9; J.-G. Dumas, C. Pernet, Z. Wan, "Efficient
-    computation of the characteristic polynomial", ISSAC 2005.
+    Graph Theory*, Sec. 9.3), and B is deflated again until nothing merges:
+    to at most 2 rows for the family, whose det(B - x*I) is read off its
+    entries as Python ints.  A larger B is reduced mod 31-bit primes p to
+    upper Hessenberg form in int64, det(x*I - H) mod p read off the
+    Hessenberg recurrence, and the residues combined by the Chinese
+    remainder theorem until the primes' product exceeds 2*N, where
+    N = prod (1 + ceil(||row||_2)) bounds every coefficient (Hadamard on the
+    principal minors): proven exact, not merely stable (Cohen, Alg. 2.2.9;
+    Dumas, Pernet and Wan, ISSAC 2005).
 
-    Deliberately independent of every closed form in this package, which
-    is what makes it usable as an oracle: it sees only the matrix entries.
-    A signed-integer array is used as it is; any other input is checked
-    entry by entry.  Raises TypeError for non-integer entries and
-    ValueError for dimension 0 or at least 2^16.
+    It sees only the matrix entries, never a closed form, which makes it an
+    oracle.  A signed-integer array is used as it is, other input is checked
+    entry by entry; TypeError for non-integer entries, ValueError for
+    dimension 0 or at least 2^16.
     """
     residual, roots = _charpoly_factored(m)
     return _times_linear_powers(residual, roots.items())

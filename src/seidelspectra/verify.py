@@ -75,9 +75,12 @@ class VerificationReport(NamedTuple):
     numeric_skipped: bool = False
 
     def passed(self, tol: float = 1e-9) -> bool:
+        # tol bounds the deviation down to eigvalsh's rounding error, n * max |lambda| * 2^-52
+        entries = self.spectrum.entries if self.spectrum is not None else ()
+        top = max((abs(float(value)) for value, _ in entries), default=0.0)
         return (
             self.charpoly_exact_match
-            and (self.spectrum_max_deviation <= tol
+            and (self.spectrum_max_deviation <= max(tol, self.params.n * top * 2.0**-52)
                  or self.numeric_skipped and self.spectrum is not None)
             and self.invariant_results.all_pass()
         )

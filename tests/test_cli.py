@@ -502,6 +502,9 @@ def test_tol_floor_and_a_large_tol_are_accepted(capsys):
     assert main(["spectrum", *FAMILY, "--tol", repr(2.0**-50)]) == 0
     assert "2.2360679775" in capsys.readouterr().out
     assert main(["verify", *FAMILY, "--tol", "1e300"]) == 0
+    # below eigvalsh's rounding error the bound is that error: a correct
+    # instance passes (it deviates by about 1.1e-14)
+    assert main(["verify", "--h", "10", "--p", "3", "--k", "5", "--tol", "1e-15"]) == 0
 
 
 def test_large_tol_never_merges_an_irrational_root(capsys):

@@ -430,6 +430,26 @@ def test_deflation_matches_symbolic_determinant_property(m):
     assert charpoly_oracle(np.array(m, dtype=np.int64)) == det_exact(char_matrix(m))
 
 
+def residual_dimension(m):
+    """Rows of the quotient the oracle's deflation ends at: its residual's degree."""
+    return linalg._charpoly_factored(m)[0].degree
+
+
+def hashed_only(monkeypatch):
+    """Send every twin pass of the oracle through the row hash; the returned list
+    grows by one per hash pass, so a test can see that the hash ran."""
+    calls = []
+    real = linalg._hashed_twins
+
+    def counting(a, values):
+        calls.append(a.shape[0])
+        return real(a, values)
+
+    monkeypatch.setattr(linalg, "_EXACT_KEY_BYTES", -1)
+    monkeypatch.setattr(linalg, "_hashed_twins", counting)
+    return calls
+
+
 def hessenberg_dimensions(monkeypatch):
     """Record the dimension of every matrix the Hessenberg reduction sees."""
     seen = []
@@ -443,24 +463,20 @@ def hessenberg_dimensions(monkeypatch):
     return seen
 
 
-def test_twin_rows_with_different_columns_do_not_deflate(monkeypatch):
+def test_twin_rows_with_different_columns_do_not_deflate():
     # with the diagonal set to 1, rows 0 and 1 agree but columns 0 and 1 differ
     rows_only = [[0, 1, 2], [1, 0, 2], [3, 4, 5]]
-    seen = hessenberg_dimensions(monkeypatch)
     for m in (rows_only, [list(col) for col in zip(*rows_only)]):
-        seen.clear()
         assert charpoly_oracle(m) == det_exact(char_matrix(m))
-        assert set(seen) == {3}
+        assert residual_dimension(m) == 3
     # unequal diagonals do not deflate either
     m = [[0, 1, 2], [1, 1, 2], [2, 2, 5]]
-    seen.clear()
     assert charpoly_oracle(m) == det_exact(char_matrix(m))
-    assert set(seen) == {3}
+    assert residual_dimension(m) == 3
     # a real twin pair does
     m = [[0, 1, 2], [1, 0, 2], [2, 2, 5]]
-    seen.clear()
     assert charpoly_oracle(m) == det_exact(char_matrix(m))
-    assert set(seen) == {2}
+    assert residual_dimension(m) == 2
 
 
 def test_deflation_with_a_constant_hash_key(monkeypatch):
@@ -469,9 +485,11 @@ def test_deflation_with_a_constant_hash_key(monkeypatch):
     matrices.append(np.array([[0, 1, 2], [1, 0, 2], [2, 2, 5]], dtype=np.int64))
     expected = [charpoly_oracle(m) for m in matrices]
     # every vertex lands in one group: only exact checks separate the classes
+    hashed = hashed_only(monkeypatch)
     monkeypatch.setattr(linalg, "_twin_weights", lambda n: np.zeros(n, dtype=np.int64))
     assert [charpoly_oracle(m) for m in matrices] == expected
     assert [charpoly_oracle(m.tolist()) for m in matrices] == expected
+    assert len(hashed) >= 2 * len(matrices)
 
 
 def test_deflation_does_not_wrap_near_2_62():
@@ -530,21 +548,18 @@ def test_pivot_swap_and_empty_column_cases_reach_full_dimension(monkeypatch):
         assert seen and set(seen) == {len(m)}
         assert charpoly_oracle(m) == expected
     # a zero matrix deflates to one cell, with t = 0
-    seen.clear()
     assert charpoly_oracle(zeros_matrix(5)) == (-X) ** 5
-    assert set(seen) == {1}
+    assert residual_dimension(zeros_matrix(5)) == 1
 
 
-def deflated_dimensions(monkeypatch, m):
-    """The Hessenberg dimensions the oracle reaches on m, after checking its
-    result against the undeflated path on the whole matrix."""
+def deflated_dimension(m):
+    """The dimension of the quotient the oracle ends at on m, after checking
+    its result against the undeflated path on the whole matrix."""
     expected = linalg._charpoly_multimodular(linalg._integer_matrix(m))
-    seen = hessenberg_dimensions(monkeypatch)
     assert charpoly_oracle(m) == expected
     residual, roots = linalg._charpoly_factored(m)
     assert sum(roots.values()) + residual.degree == len(m)
-    monkeypatch.undo()
-    return set(seen)
+    return residual.degree
 
 
 def planted(diag, twin, between, sizes, order=None):
@@ -600,18 +615,59 @@ def test_fixed_point_deflation_beyond_2_63_property(m):
     assert charpoly_oracle(wide) == linalg._charpoly_multimodular(wide)
 
 
+def deflation_passes(a):
+    """Every twin pass from a, as (quotient, factors), until one merges nothing."""
+    passes = []
+    while (deflated := linalg._twin_quotient(a)) is not None:
+        passes.append(deflated)
+        a = deflated[0]
+    return passes
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(planted_general_twins(), planted_twin_matrices()))
+def test_exact_keys_and_the_row_hash_deflate_alike_property(m):
+    for a in (linalg._integer_matrix(m), np.array(m, dtype=np.int64)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "_hashed_twins", None)  # exact keys alone
+            exact = deflation_passes(a)
+        with pytest.MonkeyPatch.context() as patch:
+            hashed = hashed_only(patch)
+            by_hash = deflation_passes(a)
+        assert len(exact) == len(by_hash)
+        assert len(hashed) >= len(exact)
+        for (quotient, factors), (hash_quotient, hash_factors) in zip(exact, by_hash):
+            assert quotient.dtype == hash_quotient.dtype
+            assert np.array_equal(quotient, hash_quotient)
+            assert factors == hash_factors
+
+
+def test_one_and_two_rows_are_read_off_their_entries(monkeypatch):
+    # no primes and no Hessenberg form below 3 rows, and no int8 product wraps
+    int8 = [[[-128]], [[127]], [[-128, 127], [127, -128]], [[-128, -128], [127, -128]],
+            [[127, -128], [-128, -128]]]
+    wide = [[[2**70]], [[2**63, -(2**65) - 1], [3, -(2**64)]], [[2**63, 5], [5, 2**63]]]
+    monkeypatch.setattr(linalg, "_charpoly_multimodular", None)
+    cases = [np.array(m, dtype=np.int8) for m in int8]
+    for m in cases + [np.array(m, dtype=object) for m in wide]:
+        expected = det_exact(char_matrix(m.tolist()))
+        assert charpoly_oracle(m) == expected
+        assert charpoly_oracle(m.tolist()) == expected
+
+
 @pytest.mark.parametrize("t", [-3, 0, 2, 5])
-def test_planted_classes_deflate_for_any_twin_entry(t, monkeypatch):
+def test_planted_classes_deflate_for_any_twin_entry(t):
     # three classes of 3, 2 and 1 vertices, interleaved, non-symmetric
     between = [[0, 7, -2], [1, 0, 7], [-2, 1, 0]]
     m = planted([1, -2, 6], [t, t, t], between, [3, 2, 1], [5, 0, 3, 1, 4, 2])
-    assert deflated_dimensions(monkeypatch, m) == {3}
+    assert deflated_dimension(m) == 3
     residual, roots = linalg._charpoly_factored(m)
     assert roots == ({1 - t: 2, -2 - t: 1} if 1 - t != -2 - t else {1 - t: 3})
     # entries beyond 2^63, as Python ints and on the object path
     big = [[e * 2**64 + 3 for e in row] for row in m]
-    assert deflated_dimensions(monkeypatch, big) == {3}
-    assert deflated_dimensions(monkeypatch, np.array(big, dtype=object)) == {3}
+    assert deflated_dimension(big) == 3
+    assert deflated_dimension(np.array(big, dtype=object)) == 3
 
 
 def test_classes_that_appear_only_in_the_quotients(monkeypatch):
@@ -624,22 +680,24 @@ def test_classes_that_appear_only_in_the_quotients(monkeypatch):
     cells = [(g, c) for g in range(3) for c in range(3)]
     between = [[3 if g == h else top[g][h] for h, _ in cells] for g, _ in cells]
     m = planted([4] * 9, [1] * 9, between, [2] * 9)
-    assert deflated_dimensions(monkeypatch, m) == {2}
+    assert deflated_dimension(m) == 2
     residual, roots = linalg._charpoly_factored(m)
     # per cell 4 - 1; per group 5 - 6 (diagonal 4 + 1); groups 0 and 1 give
     # 4 + 1 + 6*2 - (-12)
     assert roots == {3: 9, -1: 6, 29: 1}
     assert residual.degree == 2
     # a constant hash key makes every vertex a candidate of every other
+    hashed = hashed_only(monkeypatch)
     monkeypatch.setattr(linalg, "_twin_weights", lambda n: np.zeros(n, dtype=np.int64))
     assert charpoly_oracle(m) == linalg._charpoly_multimodular(np.array(m))
     assert linalg._charpoly_factored(m)[1] == roots
+    assert set(hashed) == {18, 9, 3}  # the passes that merge
 
 
-def test_near_twins_do_not_deflate(monkeypatch):
+def test_near_twins_do_not_deflate():
     # at most n distinct off-diagonal entries, so t = 5 is a candidate
     base = [[2, 5, 1, 5], [5, 2, 1, 5], [1, 1, 0, 5], [5, 5, 1, -3]]
-    assert deflated_dimensions(monkeypatch, base) == {3}
+    assert deflated_dimension(base) == 3
     twin_entry = [row[:] for row in base]
     twin_entry[0][1] = 4  # t differs between the two directions
     diagonal = [row[:] for row in base]
@@ -647,22 +705,20 @@ def test_near_twins_do_not_deflate(monkeypatch):
     rows_only = [row[:] for row in base]
     rows_only[2][1] = 4  # columns 0 and 1 differ outside the pair
     for m in (twin_entry, diagonal, rows_only, [list(c) for c in zip(*rows_only)]):
-        assert deflated_dimensions(monkeypatch, m) == {4}
+        assert deflated_dimension(m) == 4
 
 
-def test_sweep_grid_matrices_deflate_to_two_rows(monkeypatch):
+def test_sweep_grid_matrices_deflate_to_two_rows():
     # the quotient ends at 2 x 2: the k private classes are twins with t = p
     # in the first quotient; with no common clique (p = h) at 1 x 1
-    seen = hessenberg_dimensions(monkeypatch)
     for h in range(2, 8):
         for p in range(1, h + 1):
             for k in range(2, 6):
                 if h + (k - 1) * p > 40:
                     continue
-                seen.clear()
                 s = seidel_matrix(make_params(h, p, k))
                 residual, roots = linalg._charpoly_factored(s)
-                assert set(seen) == ({1} if p == h else {2}), (h, p, k)
+                assert residual.degree == (1 if p == h else 2), (h, p, k)
                 assert roots.get(1 - 2 * p) == k - 1
 
 
@@ -738,12 +794,12 @@ def test_int8_matrix_without_twins_matches_int64():
     assert charpoly_oracle(m.tolist()) == expected
 
 
-def test_a_vertex_with_another_diagonal_does_not_split_a_class(monkeypatch):
+def test_a_vertex_with_another_diagonal_does_not_split_a_class():
     # vertices 0, 2, 3 and 4 are twins with t = -2; vertex 1 ties with them
     # on every entry but its diagonal
     m = [[0, -2, -2, -2, -2], [-2, 2, -2, -2, -2], [-2, -2, 0, -2, -2],
          [-2, -2, -2, 0, -2], [-2, -2, -2, -2, 0]]
-    assert deflated_dimensions(monkeypatch, m) == {2}
+    assert deflated_dimension(m) == 2
     assert linalg._charpoly_factored(m)[1] == {2: 3}
     assert charpoly_oracle(m) == det_exact(char_matrix(m))
 
@@ -754,10 +810,12 @@ def test_interleaved_classes_under_a_constant_hash_key(monkeypatch):
     # and the rest is checked again against vertex 1
     between = [[0, 5], [-4, 0]]
     m = planted([1, 1], [2, 2], between, [3, 2], [0, 3, 1, 4, 2])
+    hashed = hashed_only(monkeypatch)
     monkeypatch.setattr(linalg, "_twin_weights", lambda n: np.zeros(n, dtype=np.int64))
-    assert deflated_dimensions(monkeypatch, m) == {2}
+    assert deflated_dimension(m) == 2
     assert linalg._charpoly_factored(m)[1] == {-1: 3}
     assert charpoly_oracle(m) == det_exact(char_matrix(m))
+    assert hashed and set(hashed) == {5}
 
 
 def test_a_row_that_collides_on_the_hash_does_not_split_a_class(monkeypatch):
@@ -782,6 +840,8 @@ def test_a_row_that_collides_on_the_hash_does_not_split_a_class(monkeypatch):
     w = linalg._twin_weights(13)
     keys = a @ w - np.diagonal(a) * w - w  # the row hash with t = -1
     assert len({keys[v] for v in (1, 3, 8, 9, 12)}) == 1
-    assert deflated_dimensions(monkeypatch, m) == {10}
+    hashed = hashed_only(monkeypatch)
+    assert deflated_dimension(m) == 10
+    assert 13 in hashed
     assert linalg._charpoly_factored(m)[1] == {4: 3}
     assert charpoly_oracle(m) == det_exact(char_matrix(m))

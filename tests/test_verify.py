@@ -127,6 +127,24 @@ def test_report_passed_thresholds():
     assert not bad_invariant.invariant_results.all_pass()
 
 
+def test_a_tol_below_eigvalsh_rounding_fails_no_correct_instance(monkeypatch):
+    # the deviation bound is never below n * max |lambda| * 2^-52, so even the
+    # smallest --tol (2^-50) passes correct instances; (200, 50, 37) deviates
+    # by about 1.6e-11 and (10, 3, 5) by about 1.1e-14
+    from seidelspectra import closedform
+
+    tiny = 2.0**-50
+    for shape in ((200, 50, 37), (10, 3, 5), (40, 7, 9)):
+        report = verify_instance(make_params(*shape))
+        assert report.spectrum_max_deviation > tiny and report.passed(tiny), shape
+    # a doubled closed-form root still fails, at that tol and at the default
+    real = closedform._rounded_root
+    monkeypatch.setattr(closedform, "_rounded_root", lambda *args: 2 * real(*args))
+    report = verify_instance(make_params(40, 7, 9))
+    assert report.charpoly_exact_match and report.spectrum_max_deviation > 50
+    assert not report.passed(tiny) and not report.passed()
+
+
 def test_sweep_small_grid():
     summary = sweep(3, 3)
     expected_points = [
