@@ -191,10 +191,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines += [",".join(map(str, e)) + f",false,{message.split(':')[0]},"
                   for e, message in summary.errors]
         text = "\n".join(lines) + "\n"
-    summary_line = (
-        f"{summary.passed} passed, {summary.failed} failed, "
-        f"{len(summary.skipped)} skipped"
-    )
+    summary_line = (f"{summary.passed} passed, {summary.failed} failed, "
+                    f"{len(summary.skipped)} skipped")
     for e, message in summary.errors:
         print(f"error: h={e.h} p={e.p} k={e.k} n={e.n}: {message}", file=sys.stderr)
     if args.out:

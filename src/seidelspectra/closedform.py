@@ -10,6 +10,7 @@ each formula against oracles that never look at these functions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
@@ -76,7 +77,7 @@ class Spectrum(NamedTuple):
 
     def approx(self) -> tuple[float, ...]:
         """The full multiset as floats, descending, one entry per eigenvalue."""
-        return tuple(float(value) for value, mult in self.entries for _ in range(mult))
+        return tuple(itertools.chain(*(itertools.repeat(float(v), m) for v, m in self.entries)))
 
 
 def _canonical_spectrum(entries: Sequence[tuple[SpectrumValue, int]]) -> Spectrum:
@@ -84,7 +85,7 @@ def _canonical_spectrum(entries: Sequence[tuple[SpectrumValue, int]]) -> Spectru
     for value, mult in entries:
         if mult == 0:
             continue
-        if not isinstance(value, CubicRoot):
+        if not isinstance(value, (int, CubicRoot)):  # ints are already exact
             value = _exact(value)
         bag[value] = bag.get(value, 0) + mult
     return Spectrum(tuple(sorted(bag.items(), key=lambda kv: float(kv[0]), reverse=True)))

@@ -382,10 +382,12 @@ def _exact_twins(a: Matrix, values: Sequence[int]) -> tuple[np.ndarray, np.ndarr
     keys = keys.view(np.dtype((np.void, width * a.itemsize))).ravel()
     order = keys.argsort(kind="stable")  # a class's first is its lowest vertex
     ranked = keys[order]
-    same = np.concatenate(([False], ranked[1:] == ranked[:-1]))  # tied with the one before
-    lead = order[np.maximum.accumulate(np.where(same, 0, np.arange(same.size)))[same]]
+    tied = ranked[1:] == ranked[:-1]  # key i + 1 equals key i
+    starts = np.arange(1, ranked.size)  # its own index where a run starts, else 0, so the
+    starts[tied] = 0  # running maximum is each key's run start (0 for the first run)
+    lead = order[np.maximum.accumulate(starts)[tied]]
     head, twin = np.arange(n), np.zeros(n, dtype=a.dtype)  # a cell's lowest vertex and t
-    head[order[same] % n] = lead % n
+    head[order[1:][tied] % n] = lead % n
     twin[lead % n] = ts[lead // n]
     return head, twin
 
@@ -447,14 +449,15 @@ def _twin_quotient(a: Matrix) -> tuple[Matrix, dict[int, int]] | None:
     diagonal = a.diagonal()
     if len(set(diagonal.tolist())) == n:  # twins share a diagonal entry
         return None
-    low, high = int(a.min()), int(a.max())
+    low, high = int(np.minimum.reduce(a, None)), int(np.maximum.reduce(a, None))
     values = _twin_values(a, low, high)
     exact = a.dtype != object and len(values) * n * (2 * n + 1) * a.itemsize <= _EXACT_KEY_BYTES
     head, twin = (_exact_twins if exact else _hashed_twins)(a, values)
-    reps = np.flatnonzero(head == np.arange(n))
+    counts = np.bincount(head)  # a class's size at its head, 0 elsewhere
+    reps = np.flatnonzero(counts)
     if reps.size == n:
         return None
-    sizes = np.bincount(head)[reps]
+    sizes = counts[reps]
     quotient = _narrowest(a[reps[:, None], reps], max(-low, high) * int(sizes.max()))
     quotient *= sizes
     d, t = diagonal[reps].astype(quotient.dtype), twin[reps].astype(quotient.dtype)

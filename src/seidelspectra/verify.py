@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -96,7 +95,8 @@ class SweepSummary(NamedTuple):
 
 
 def eig_numeric(m: object) -> tuple[float, ...]:
-    """All eigenvalues of an exactly symmetric matrix, sorted descending.
+    """All eigenvalues of an exactly symmetric matrix, sorted descending:
+    ``eigvalsh``'s ascending output reversed, not sorted again.
 
     Signed-integer arrays are used as they are; other input goes through
     ``exact_matrix`` once, which rejects floats.  Symmetry is checked
@@ -106,29 +106,35 @@ def eig_numeric(m: object) -> tuple[float, ...]:
     a = _checked_matrix(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix is not square: shape {a.shape}")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         # the first offending entry in row order lies above the diagonal
         i, j = np.argwhere(a != a.T)[0].tolist()
         raise NotSymmetric(
             f"entry ({i},{j}) = {a[i, j]} differs from ({j},{i}) = {a[j, i]}"
         )
     values = np.linalg.eigvalsh(a if a.dtype.kind == "i" else a.astype(float))
-    return tuple(sorted(values.tolist(), reverse=True))
+    return tuple(values[::-1].tolist())
 
 
 def _same_product(factored: FactoredCharPoly, residual: UniPoly,
                   roots: dict[int, int]) -> bool:
     """Whether the closed form's product equals residual * prod (root - x)^e
     over the oracle's roots, unexpanded: the linear factors both sides hold
-    cancel, and only what is left of each side is expanded and compared."""
-    closed = Counter({factored.root1: factored.e1}) + Counter({factored.root2: factored.e2})
-    oracle = Counter(roots)
-    common = closed & oracle
-    sides = ((UniPoly(factored.cubic), closed - common), (residual, oracle - common))
+    cancel, and only what is left of each side is expanded and compared.
+    Plain dicts: each side holds at most two roots, too few to pay for Counters."""
+    closed = {factored.root1: factored.e1}
+    closed[factored.root2] = closed.get(factored.root2, 0) + factored.e2
+    oracle = dict(roots)
+    for root in closed.keys() & oracle.keys():
+        common = min(closed[root], oracle[root])
+        closed[root] -= common
+        oracle[root] -= common
+    sides = ((UniPoly(factored.cubic), closed), (residual, oracle))
     # one side's leftover roots must divide the other's polynomial: at most its degree of them
     if any(sum(own.values()) > other.degree for (_, own), (other, _) in zip(sides, sides[::-1])):
         return False
-    left = [_times_linear_powers(poly, own.items()) for poly, own in sides]
+    left = [_times_linear_powers(poly, [(r, e) for r, e in own.items() if e])
+            for poly, own in sides]
     return left[0] == left[1]
 
 
@@ -162,22 +168,24 @@ def verify_instance(params: FamilyParams) -> VerificationReport:
         # only a mismatch pays for expanding both sides into a diff
         closed = factored.expand()
         oracle = _times_linear_powers(residual, roots.items())
-        top = max(closed.degree, oracle.degree)
-        diffs = tuple(
-            (deg, closed.coeff(deg), oracle.coeff(deg))
-            for deg in range(top + 1)
-            if closed.coeff(deg) != oracle.coeff(deg)
-        )
+        diffs = tuple((deg, closed.coeff(deg), oracle.coeff(deg))
+                      for deg in range(max(closed.degree, oracle.degree) + 1)
+                      if closed.coeff(deg) != oracle.coeff(deg))
     numeric = eig_numeric(seidel) if dense else ()
     try:
         spectrum = spectrum_closed(params)
-        deviations = [abs(a - b) for a, b in zip(spectrum.approx(), numeric)]
-        max_dev = max(deviations, default=math.nan)  # nan: the referee was skipped
+        # nan: the referee was skipped
+        max_dev = max((abs(a - b) for a, b in zip(spectrum.approx(), numeric)), default=math.nan)
     except ComplexRoots:
         # such a cubic gives the family no spectrum: the referee rejects it
         spectrum, max_dev = None, float("inf")
 
     sum_sq_coeff = (-1) ** n * (-(n * (n - 1)) // 2)
+    # eigvalsh moves each value by at most e = n * max|lambda| * 2^-52, as in passed(), so
+    # sum lambda^2 by 2e * sum|lambda| + n * e^2; the float sum rounds by n * sum * 2^-52
+    squares = sum(v * v for v in numeric)
+    e = n * max(map(abs, numeric[:1] + numeric[-1:]), default=0.0) * 2.0**-52
+    squares_gate = max(1e-6, 2 * e * sum(map(abs, numeric)) + n * e * e + n * squares * 2.0**-52)
     trace = trace_exact(seidel)
     # tr S^2 for symmetric S is the sum of its squared entries; exact in
     # int64 (int8 would wrap), as the entries are -1, 0 or 1 and n^2 < 2^63
@@ -192,7 +200,7 @@ def verify_instance(params: FamilyParams) -> VerificationReport:
         # linear factors' squares they must give tr S^2
         sum_squares=(
             oracle_third == sum_sq_coeff
-            and (not dense or abs(sum(v * v for v in numeric) - n * (n - 1)) <= 1e-6)
+            and (not dense or abs(squares - n * (n - 1)) <= squares_gate)
             and c3 * c3 * (linear_sq - trace_sq) + c2 * c2 - 2 * c1 * c3 == 0
         ),
         degree=oracle_degree == n and closed_degree == n,
@@ -201,15 +209,9 @@ def verify_instance(params: FamilyParams) -> VerificationReport:
         vieta_trace=c3 * ((1 - 2 * p) * (k - 2) + (n - k - 1) - trace) == c2,
     )
     return VerificationReport(
-        params=params,
-        charpoly_exact_match=match,
-        coefficient_diffs=diffs,
-        spectrum_max_deviation=float(max_dev),
-        invariant_results=invariants,
-        elapsed=time.perf_counter() - start,
-        spectrum=spectrum,
-        numeric_skipped=not dense,
-    )
+        params=params, charpoly_exact_match=match, coefficient_diffs=diffs,
+        spectrum_max_deviation=float(max_dev), invariant_results=invariants,
+        elapsed=time.perf_counter() - start, spectrum=spectrum, numeric_skipped=not dense)
 
 
 def sweep(
@@ -257,14 +259,8 @@ def sweep(
     passed = sum(1 for r in reports if r.passed(tol))
     failed = len(reports) - passed + len(errors)
     grid = f"h in [2,{h_max}], p in [1,h], k in [2,{k_max}], n <= {n_cap}"
-    return SweepSummary(
-        grid=grid,
-        reports=tuple(reports),
-        passed=passed,
-        failed=failed,
-        skipped=tuple(skipped),
-        errors=tuple(errors),
-    )
+    return SweepSummary(grid=grid, reports=tuple(reports), passed=passed, failed=failed,
+                        skipped=tuple(skipped), errors=tuple(errors))
 
 
 def discrepancy_notes() -> tuple[str, ...]:

@@ -3,11 +3,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from seidelspectra.errors import InvalidParams, NotSymmetric, UnsupportedShape
 from seidelspectra.family import make_params, seidel_matrix
 from seidelspectra.linalg import identity_matrix, ones_matrix
-from seidelspectra.polynomial import UniPoly
+from seidelspectra.closedform import FactoredCharPoly
+from seidelspectra.polynomial import UniPoly, _times_linear_powers
 from seidelspectra.verify import (
     DENSE_N_MAX,
     N_MAX,
@@ -50,6 +52,21 @@ def test_eig_numeric_trace_identities():
         n = params.n
         assert abs(sum(values)) <= 1e-9 * n
         assert abs(sum(v * v for v in values) - n * (n - 1)) <= 1e-6
+
+
+@pytest.mark.parametrize("kind", ["int8", "int64", "object"])
+def test_eig_numeric_reverses_eigvalsh_order(kind):
+    # == and not bytes: a -0.0 and a 0.0 may trade places, and nothing prints them
+    gen = np.random.default_rng(20261020)
+    matrices = [np.ones((4, 4), dtype=np.int64), np.eye(5, dtype=np.int64),
+                np.zeros((3, 3), dtype=np.int64), 2 * np.eye(6, dtype=np.int64) - 1]
+    for n in range(1, 13):
+        upper = np.triu(gen.integers(-3, 4, (n, n)))
+        matrices.append(upper + np.triu(upper, 1).T)
+    for m in matrices:
+        a = m.astype(kind)
+        expected = tuple(sorted(np.linalg.eigvalsh(m.astype(float)).tolist(), reverse=True))
+        assert eig_numeric(a) == expected, m
 
 
 def test_verify_instance_hand_case():
@@ -110,6 +127,27 @@ def test_sum_squares_reads_c1_of_the_closed_cubic(index, shift, holds, monkeypat
     report = verify_instance(params)
     assert report.invariant_results.sum_squares is holds
     assert not report.passed()
+
+
+def test_numeric_sum_squares_allows_eigvalsh_rounding_at_n_1500(monkeypatch):
+    # the bound grows like n^3 and passes the old fixed 1e-6 only near n = 1000;
+    # at n = 500 the rounding model gives about 1e-7, below that floor
+    from seidelspectra import verify
+    from seidelspectra.closedform import spectrum_closed
+
+    params = make_params(15, 15, 100)
+    n, values = params.n, spectrum_closed(params).approx()
+    half = n * max(map(abs, values)) * 2.0**-53  # half of passed()'s rounding bound
+    outward = tuple(v + math.copysign(half, v) for v in values)
+    # every value moved away from 0 moves sum lambda^2 by about 2.8e-6
+    assert abs(sum(v * v for v in outward) - n * (n - 1)) > 2e-6
+    monkeypatch.setattr(verify, "eig_numeric", lambda m: outward)
+    report = verify_instance(params)
+    assert report.invariant_results.sum_squares and report.passed()
+    moved = list(values)
+    moved[values.index(1.0)] += 1e-3
+    monkeypatch.setattr(verify, "eig_numeric", lambda m: tuple(moved))
+    assert not verify_instance(params).invariant_results.sum_squares
 
 
 def test_report_passed_thresholds():
@@ -512,3 +550,48 @@ def test_failing_reports_keep_the_expanded_diff(field, shift, monkeypatch):
         report = verify_instance(params)
         assert report.coefficient_diffs == expected
         assert report.charpoly_exact_match is (expected == ())
+
+
+small_roots = st.integers(-2, 2)
+small_exponents = st.integers(0, 3)
+nonzero_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any).map(UniPoly)
+
+
+@st.composite
+def factored_products(draw):
+    """(closed form, residual, roots) over one multiset of small integer roots: the
+    oracle's residual holds the closed form's linear factors, its cubic the oracle's,
+    both times the same base and extra roots; then one side may move."""
+    root1, root2 = draw(small_roots), draw(small_roots)
+    e1, e2 = draw(small_exponents), draw(small_exponents)
+    roots = draw(st.dictionaries(small_roots, small_exponents, max_size=3))
+    extra = [(root, 1) for root in draw(st.lists(small_roots, max_size=2))]
+    base = draw(nonzero_polys)
+    cubic = _times_linear_powers(base, [*roots.items(), *extra])
+    residual = _times_linear_powers(base, [(root1, e1), (root2, e2), *extra])
+    move = draw(st.sampled_from(["none", "drop linear", "constant", "exponent"]))
+    if move == "drop linear":  # the closed side's leftovers may outnumber the residual's degree
+        residual = _times_linear_powers(base, extra)
+    elif move == "constant":
+        cubic = cubic + 1
+    elif move == "exponent" and roots:
+        root = next(iter(roots))
+        roots = {**roots, root: roots[root] + 1}
+    return FactoredCharPoly(root1, e1, root2, e2, cubic.coeffs), residual, roots
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None)
+@given(factored_products())
+@example((FactoredCharPoly(1, 0, 2, 0, (5,)), UniPoly([5]), {3: 0}))  # zero exponents
+@example((FactoredCharPoly(1, 2, 1, 1, (1,)), UniPoly([1]), {1: 3}))  # root1 == root2
+# roots shared with the oracle, one of them also inside the cubic
+@example((FactoredCharPoly(-1, 2, 1, 3, (3, 1, -2)), UniPoly([-3, 2]), {-1: 3, 1: 3}))
+@example((FactoredCharPoly(2, 3, 1, 0, (1, 1)), UniPoly([1, 1]), {}))  # 3 leftovers, degree 1
+@example((FactoredCharPoly(0, 1, 0, 1, (1,)), UniPoly([0, 0, 1]), {0: 1}))  # x^2 split 2 ways
+def test_factored_comparison_equals_the_expanded_one_property(case):
+    from seidelspectra.verify import _same_product
+
+    fac, residual, roots = case
+    expected = fac.expand() == _times_linear_powers(residual, roots.items())
+    assert _same_product(fac, residual, roots) is expected
