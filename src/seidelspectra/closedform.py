@@ -46,7 +46,7 @@ class ScalarMatrixSpec(NamedTuple):
     n: int
 
     def realize(self) -> Matrix:
-        return exact_matrix(self.a * identity_matrix(self.n) + self.b)
+        return exact_matrix(_exact(self.a) * identity_matrix(self.n) + _exact(self.b))
 
 
 class CubicRoot(NamedTuple):
@@ -93,11 +93,10 @@ def _canonical_spectrum(entries: Sequence[tuple[SpectrumValue, int]]) -> Spectru
 
 def spectrum_aI_bJ(spec: ScalarMatrixSpec) -> Spectrum:
     """Eigenvalues of a*I_n + b*J_n: a + b*n once, a with multiplicity n - 1."""
-    if spec.n < 1:
-        raise ValueError(f"n must be positive, got {spec.n}")
-    return _canonical_spectrum(
-        [(_exact(spec.a + spec.b * spec.n), 1), (_exact(spec.a), spec.n - 1)]
-    )
+    a, b, n = map(_exact, spec)  # before any arithmetic, so that no numpy integer wraps
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return _canonical_spectrum([(a + b * n, 1), (a, n - 1)])
 
 
 def spectrum_uniform_blocks(
@@ -116,13 +115,13 @@ def spectrum_uniform_blocks(
     within-block eigenvectors in each of the t block positions, and only
     t*(m-1) makes the multiplicities sum to the dimension m*t.
     """
+    r, d, b, m, t = map(_exact, (r, d, b, m, t))
     if m < 1 or t < 1:
         raise ValueError(f"block order and count must be positive, got m={m}, t={t}")
-    r, d, b = _exact(r), _exact(d), _exact(b)
     return _canonical_spectrum(
         [
-            (_exact(r + b * m * (t - 1)), 1),
-            (_exact(r - b * m), t - 1),
+            (r + b * m * (t - 1), 1),
+            (r - b * m, t - 1),
             (d, t * (m - 1)),
         ]
     )
@@ -140,10 +139,11 @@ def uniform_block_matrix(
     The diagonal block is the unique a'*I + b'*J of order m with row sum r
     and secondary eigenvalue d, namely d*I + ((r - d)/m)*J.
     """
+    r, d, b, m, t = map(_exact, (r, d, b, m, t))
     if m < 1 or t < 1:
         raise ValueError(f"block order and count must be positive, got m={m}, t={t}")
-    diag = ScalarMatrixSpec(_exact(d), _exact((Fraction(r) - Fraction(d)) / m), m).realize()
-    off = _exact(b) * ones_matrix(m)
+    diag = ScalarMatrixSpec(d, _exact(Fraction(r - d, m)), m).realize()
+    off = b * ones_matrix(m)
     return assemble_blocks(
         [[diag if i == j else off for j in range(t)] for i in range(t)]
     )

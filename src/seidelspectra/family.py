@@ -13,6 +13,7 @@ by clique k's private vertices.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +58,11 @@ class VertexLabel(NamedTuple):
 
 
 def make_params(h: int, p: int, k: int) -> FamilyParams:
+    """Validated parameters; numpy integers become Python ints, floats are refused."""
+    try:
+        h, p, k = map(operator.index, (h, p, k))
+    except TypeError:
+        raise InvalidParams(f"h, p and k must be integers (got {h!r}, {p!r}, {k!r})") from None
     if h < 2:
         raise InvalidParams(f"h must be at least 2 (got h={h})")
     if not 1 <= p <= h:

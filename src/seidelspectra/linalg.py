@@ -7,18 +7,20 @@ after a dtype check alone.  Other matrices are object arrays of Python
 ints, ``fractions.Fraction`` values or
 :class:`~seidelspectra.polynomial.UniPoly`, made by :func:`exact_matrix`
 where big-int, rational or polynomial arithmetic needs them; nothing in
-this module touches floating point.  Bareiss elimination gives integer
-and rational determinants (rows scaled to integers), Gauss-Jordan over
-Fraction gives inverses, and cofactor expansion gives adjugates and
-polynomial-entried determinants.  Characteristic polynomials of integer
-matrices deflate classes of twin vertices (any integer entry between twins;
-found by exact byte keys when small, else by an exactly checked row hash)
-until none merge (Godsil and Royle, *Algebraic Graph Theory*, Sec. 9.3).
-``_charpoly_factored`` reads a quotient of at most 2 rows off its entries
-and takes a larger one to Hessenberg reduction modulo 31-bit primes in int64
-and Chinese remaindering up to a proven Hadamard bound (Cohen, *A Course in
-Computational Algebraic Number Theory*, Alg. 2.2.9; Dumas, Pernet and Wan,
-ISSAC 2005), leaving the linear factors unexpanded.
+this module touches floating point.  Each public call puts its entries
+through the one normalizer, :func:`~seidelspectra.polynomial._exact`, once.
+One Bareiss elimination, dividing exactly on ints and Fractions, gives
+determinants, Gauss-Jordan over Fraction gives inverses, and cofactor
+expansion gives adjugates and polynomial-entried determinants.
+Characteristic polynomials of integer matrices deflate classes of twin
+vertices (any integer entry between twins; found by exact byte keys when
+small, else by an exactly checked row hash) until none merge (Godsil and
+Royle, *Algebraic Graph Theory*, Sec. 9.3).  ``_charpoly_factored`` reads a
+quotient of at most 2 rows off its entries and takes a larger one to
+Hessenberg reduction modulo 31-bit primes in int64 and Chinese remaindering
+up to a proven Hadamard bound (Cohen, *A Course in Computational Algebraic
+Number Theory*, Alg. 2.2.9; Dumas, Pernet and Wan, ISSAC 2005), leaving the
+linear factors unexpanded.
 
 Characteristic polynomial convention: :func:`charpoly_oracle` returns
 det(M - x*I), whose leading coefficient is (-1)^n.
@@ -29,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -62,30 +65,19 @@ __all__ = [
 ]
 
 
-def _exact_entry(value: object) -> Entry:
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return int(value)  # bool and np.bool_ become 0 or 1
-    if isinstance(value, Fraction):
-        return _exact(value)
-    if isinstance(value, UniPoly):
-        return value
-    raise TypeError(
-        f"matrix entries must be int, Fraction, or UniPoly, got {type(value).__name__}"
-    )
-
-
 def exact_matrix(rows: object) -> Matrix:
     """Copy ``rows`` into a fresh numpy object array of exact entries.
 
-    Accepts nested sequences or numpy arrays of any integer dtype.  Integer
-    entries (including numpy scalars) become Python ints so later
-    arithmetic is arbitrary precision; an integral Fraction becomes an int,
-    other Fractions and UniPoly entries pass through.  Floats are rejected.
+    Accepts nested sequences or numpy arrays of any integer dtype.  Entries
+    go through :func:`~seidelspectra.polynomial._exact`: integers (numpy
+    scalars and bools too) become Python ints so later arithmetic is arbitrary
+    precision, an integral Fraction becomes an int, other Fractions and UniPoly
+    entries pass through.  Floats are rejected.
     """
     arr = np.asarray(rows, dtype=object)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got array of shape {arr.shape}")
-    return np.frompyfunc(_exact_entry, 1, 1)(arr)
+    return np.frompyfunc(_exact, 1, 1)(arr)
 
 
 def _checked_matrix(m: object) -> Matrix:
@@ -120,12 +112,10 @@ def assemble_blocks(grid: Sequence[Sequence[object]]) -> Matrix:
 
 def char_matrix(m: object) -> Matrix:
     """Return m - x*I with polynomial entries, ready for symbolic determinants."""
-    a = exact_matrix(m)
-    _require_square(a, "char_matrix")
-    out = a.copy()
-    for i in range(a.shape[0]):
-        out[i, i] = a[i, i] - X
-    return out
+    a = exact_matrix(m)  # a fresh array, so its diagonal is changed in place
+    for i in range(_require_square(a, "char_matrix")):
+        a[i, i] -= X
+    return a
 
 
 def trace_exact(m: object) -> Entry:
@@ -141,11 +131,13 @@ def _require_square(a: Matrix, what: str) -> int:
     return a.shape[0]
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free elimination; every interior division is exact."""
+def _det_bareiss(m: list[list[int | Fraction]]) -> int | Fraction:
+    """Fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968): by Sylvester's
+    identity, over Z and Q alike, each division by the last pivot is exact."""
     n = len(m)
     sign = 1
-    prev = 1
+    ints = all(type(e) is int for row in m for e in row)  # then // is exact, and fast
+    divide, prev = (operator.floordiv, 1) if ints else (operator.truediv, Fraction(1))
     for r in range(n - 1):
         if m[r][r] == 0:
             for rr in range(r + 1, n):
@@ -157,7 +149,7 @@ def _det_bareiss(m: list[list[int]]) -> int:
                 return 0
         for i in range(r + 1, n):
             for j in range(r + 1, n):
-                m[i][j] = (m[i][j] * m[r][r] - m[i][r] * m[r][j]) // prev
+                m[i][j] = divide(m[i][j] * m[r][r] - m[i][r] * m[r][j], prev)
             m[i][r] = 0
         prev = m[r][r]
     return sign * m[n - 1][n - 1]
@@ -191,21 +183,17 @@ def _det_ring(m: list[list[Entry]]) -> Entry:
 
 def det_exact(m: object) -> Entry:
     """Exact determinant of a square matrix with int/Fraction/UniPoly entries."""
-    a = exact_matrix(m)
-    n = _require_square(a, "determinant")
-    if n == 0:
+    return _det(exact_matrix(m))
+
+
+def _det(a: Matrix) -> Entry:
+    """det_exact of an object array whose entries are already exact."""
+    if _require_square(a, "determinant") == 0:
         return 1
-    entries = [[a[i, j] for j in range(n)] for i in range(n)]
-    flat = [e for row in entries for e in row]
-    if any(isinstance(e, UniPoly) for e in flat):
+    entries = a.tolist()
+    if any(isinstance(e, UniPoly) for row in entries for e in row):
         return _det_ring(entries)
-    if any(isinstance(e, Fraction) for e in flat):
-        # scaling each row by the lcm of its denominators keeps one elimination
-        rows = [[Fraction(e) for e in row] for row in entries]
-        scales = [math.lcm(*(e.denominator for e in row)) for row in rows]
-        ints = [[int(e * s) for e in row] for row, s in zip(rows, scales)]
-        return _exact(Fraction(_det_bareiss(ints), math.prod(scales)))
-    return _det_bareiss(entries)
+    return _exact(_det_bareiss(entries))
 
 
 #: Dimension limit of the modular oracle: a dot product of n terms below
@@ -565,34 +553,20 @@ def charpoly_oracle(m: object) -> UniPoly:
     return _times_linear_powers(residual, roots.items())
 
 
-def _minor(entries: list[list[Entry]], drop_row: int, drop_col: int) -> list[list[Entry]]:
-    return [
-        [e for j, e in enumerate(row) if j != drop_col]
-        for i, row in enumerate(entries)
-        if i != drop_row
-    ]
-
-
 def adjugate_exact(m: object) -> Matrix:
     """Adjugate (transposed cofactor matrix): m @ adj(m) = det(m) * I.
 
     That identity holds for singular m too, which is why the adjugate and
     not the inverse is the right tool for symbolic block eliminations.
-    Works entrywise over int, Fraction, or UniPoly.
+    Works entrywise over int, Fraction, or UniPoly; minors of order 0 have det 1.
     """
     a = exact_matrix(m)
     n = _require_square(a, "adjugate")
-    if n == 0:
-        return a.copy()
     out = np.empty((n, n), dtype=object)
-    if n == 1:
-        out[0, 0] = 1
-        return out
-    entries = [[a[i, j] for j in range(n)] for i in range(n)]
     for i in range(n):
+        rows = np.delete(a, i, axis=0)
         for j in range(n):
-            sign = 1 if (i + j) % 2 == 0 else -1
-            out[j, i] = sign * det_exact(_minor(entries, i, j))
+            out[j, i] = (-1) ** (i + j) * _det(np.delete(rows, j, axis=1))
     return out
 
 
@@ -600,16 +574,10 @@ def inverse_exact(m: object) -> Matrix:
     """Exact inverse with Fraction entries, by Gauss-Jordan elimination."""
     a = exact_matrix(m)
     n = _require_square(a, "inverse")
-    rows: list[list[Fraction]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = a[i, j]
-            if isinstance(entry, UniPoly):
-                raise TypeError("inverse_exact supports int and Fraction entries only")
-            row.append(Fraction(entry))
-        row.extend(Fraction(1 if j == i else 0) for j in range(n))
-        rows.append(row)
+    if any(isinstance(e, UniPoly) for e in a.flat):
+        raise TypeError("inverse_exact supports int and Fraction entries only")
+    rows = [[Fraction(e) for e in row] + [Fraction(int(j == i)) for j in range(n)]
+            for i, row in enumerate(a.tolist())]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pivot_row is None:
@@ -623,20 +591,23 @@ def inverse_exact(m: object) -> Matrix:
             factor = rows[r][col]
             rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
     out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = _exact(rows[i][n + j])
+    out[:] = [[_exact(v) for v in row[n:]] for row in rows]
     return out
 
 
-def _check_blocks(A: Matrix, B: Matrix, C: Matrix, D: Matrix) -> tuple[int, int]:
+def _check_blocks(*blocks: object) -> tuple[Matrix, Matrix, Matrix, Matrix, Entry]:
+    """The Schur routes' preamble: exact blocks of checked shapes, and det(D) != 0."""
+    A, B, C, D = map(exact_matrix, blocks)
     na = _require_square(A, "top-left block")
     nd = _require_square(D, "bottom-right block")
     if B.shape != (na, nd):
         raise ValueError(f"top-right block must be {na}x{nd}, got {B.shape}")
     if C.shape != (nd, na):
         raise ValueError(f"bottom-left block must be {nd}x{na}, got {C.shape}")
-    return na, nd
+    det_d = _det(D)
+    if det_d == 0:
+        raise SingularBlock("det(D) = 0: Schur complement of D undefined")
+    return A, B, C, D, det_d
 
 
 def schur_block_det(A: object, B: object, C: object, D: object) -> Entry:
@@ -646,15 +617,10 @@ def schur_block_det(A: object, B: object, C: object, D: object) -> Entry:
     opposite ordering A - C @ D^-1 @ B gives a different determinant for
     general (non-symmetric) blocks.
     """
-    A, B, C, D = (exact_matrix(x) for x in (A, B, C, D))
-    na, _ = _check_blocks(A, B, C, D)
-    det_d = det_exact(D)
-    if det_d == 0:
-        raise SingularBlock("det(D) = 0: Schur complement of D undefined")
-    if na == 0:
+    A, B, C, D, det_d = _check_blocks(A, B, C, D)
+    if len(A) == 0:
         return det_d
-    schur = A - B @ inverse_exact(D) @ C
-    return _exact(Fraction(det_d) * Fraction(det_exact(schur)))
+    return _exact(det_d * _det(A - B @ inverse_exact(D) @ C))
 
 
 def schur_block_det_adjugate(A: object, B: object, C: object, D: object) -> Entry:
@@ -664,23 +630,15 @@ def schur_block_det_adjugate(A: object, B: object, C: object, D: object) -> Entr
     that division must come out exact; a remainder means the implementation
     is broken, not the input.
     """
-    A, B, C, D = (exact_matrix(x) for x in (A, B, C, D))
-    na, _ = _check_blocks(A, B, C, D)
-    det_d = det_exact(D)
-    if det_d == 0:
-        raise SingularBlock("det(D) = 0: Schur complement of D undefined")
+    A, B, C, D, det_d = _check_blocks(A, B, C, D)
+    na = len(A)
     if na == 0:
         return det_d
-    inner = det_d * A - B @ adjugate_exact(D) @ C
-    value = det_exact(inner)
+    value = _det(det_d * A - B @ adjugate_exact(D) @ C)
     if na == 1:
         return value
     divisor = det_d ** (na - 1)
-    if isinstance(value, int) and isinstance(divisor, int):
-        quot, rem = divmod(value, divisor)
-        if rem:
-            raise InternalError(
-                f"adjugate-route division not exact: {value} / {divisor}"
-            )
-        return quot
-    return _exact(Fraction(value) / Fraction(divisor))
+    quotient = _exact(Fraction(value, divisor))
+    if isinstance(value, int) and isinstance(divisor, int) and not isinstance(quotient, int):
+        raise InternalError(f"adjugate-route division not exact: {value} / {divisor}")
+    return quotient

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
+import numpy as np
+
 Scalar = Union[int, Fraction]
 
 __all__ = ["UniPoly", "X", "constant"]
@@ -173,10 +175,19 @@ def _times_linear_powers(poly: UniPoly, factors: Iterable[tuple[Scalar, int]]) -
     return math.prod((_linear_power(r, e) for r, e in factors), start=poly)
 
 
-def _exact(value: Scalar) -> Scalar:
-    """The value as an int when it is integral, else as a reduced Fraction."""
-    f = Fraction(value)
-    return f.numerator if f.denominator == 1 else f
+def _exact(value: object) -> Union[Scalar, UniPoly]:
+    """The one normalizer of exact values.  Python and numpy integers and bools
+    become an int, a Fraction an int when it is integral (else it stays, reduced),
+    and a UniPoly passes through; anything else, floats included, is a TypeError."""
+    if type(value) is int:
+        return value
+    if isinstance(value, (int, np.integer, np.bool_)):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, UniPoly):
+        return value
+    raise TypeError(f"exact values are int, Fraction or UniPoly, got {type(value).__name__}")
 
 
 #: The variable itself, for building polynomials expression-style.

@@ -33,7 +33,7 @@ __all__ = [
 DEFAULT_N_CAP = 40
 
 #: Largest n that verify_instance takes: its int8 matrix and the exact referees
-#: need at most about 150 MB and 2-3 s on 2 cores (many cliques of 2, k = 5000).
+#: need at most about 150 MB and 2 s on 2 cores (many cliques of 2, k = 5000).
 N_MAX = 10_000
 
 #: Largest n for the numeric referee (two 8n^2 float copies), for expanding
