@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .closedform import CubicRoot, charpoly_closed, cubic_s, spectrum_closed
@@ -20,17 +19,7 @@ from .family import make_params, signed_edges, vertex_labels
 from .polynomial import UniPoly
 from .verify import DEFAULT_N_CAP, DENSE_N_MAX, discrepancy_notes, sweep, verify_instance
 
-N_CAP_ENV = "SEIDELSPECTRA_N_CAP"
-
-__all__ = [
-    "main",
-    "run",
-    "cmd_spectrum",
-    "cmd_charpoly",
-    "cmd_verify",
-    "cmd_sweep",
-    "cmd_export",
-]
+__all__ = ["main", "run"]
 
 
 def _fmt_value(value: object) -> str:
@@ -150,20 +139,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _resolve_n_cap(args: argparse.Namespace) -> int:
-    if args.n_cap is not None:
-        return args.n_cap
-    raw = os.environ.get(N_CAP_ENV)
-    if raw is None:
-        return DEFAULT_N_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParams(f"{N_CAP_ENV} must be an integer, got {raw!r}") from None
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    summary = sweep(args.h_max, args.k_max, args.tol, _resolve_n_cap(args))
+    summary = sweep(args.h_max, args.k_max, args.tol, args.n_cap)
     if args.format == "json":
         rows: list[dict] = [
             {
@@ -274,9 +251,8 @@ def _charpoly_args(parser: argparse.ArgumentParser) -> None:
 def _sweep_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h-max", type=int, required=True)
     parser.add_argument("--k-max", type=int, required=True)
-    parser.add_argument("--n-cap", type=int, default=None,
-                        help=f"skip points with n above this (default {DEFAULT_N_CAP}, "
-                        f"or the {N_CAP_ENV} environment variable)")
+    parser.add_argument("--n-cap", type=int, default=DEFAULT_N_CAP,
+                        help=f"skip points with n above this (default {DEFAULT_N_CAP})")
     _add_tol_arg(parser)
     parser.add_argument("--out", default=None, help="write results here instead of stdout")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
@@ -88,12 +89,16 @@ def _canonical_spectrum(entries: Sequence[tuple[SpectrumValue, int]]) -> Spectru
         if not isinstance(value, (int, CubicRoot)):  # ints are already exact
             value = _exact(value)
         bag[value] = bag.get(value, 0) + mult
-    return Spectrum(tuple(sorted(bag.items(), key=lambda kv: float(kv[0]), reverse=True)))
+    # exact values sort by themselves: Python compares ints, Fractions and floats exactly
+    return Spectrum(tuple(sorted(
+        bag.items(), key=lambda kv: kv[0].value if isinstance(kv[0], CubicRoot) else kv[0],
+        reverse=True)))
 
 
 def spectrum_aI_bJ(spec: ScalarMatrixSpec) -> Spectrum:
     """Eigenvalues of a*I_n + b*J_n: a + b*n once, a with multiplicity n - 1."""
-    a, b, n = map(_exact, spec)  # before any arithmetic, so that no numpy integer wraps
+    # before any arithmetic, so that no numpy integer wraps
+    a, b, n = _exact(spec.a), _exact(spec.b), operator.index(spec.n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return _canonical_spectrum([(a + b * n, 1), (a, n - 1)])
@@ -115,7 +120,8 @@ def spectrum_uniform_blocks(
     within-block eigenvectors in each of the t block positions, and only
     t*(m-1) makes the multiplicities sum to the dimension m*t.
     """
-    r, d, b, m, t = map(_exact, (r, d, b, m, t))
+    r, d, b = map(_exact, (r, d, b))
+    m, t = operator.index(m), operator.index(t)
     if m < 1 or t < 1:
         raise ValueError(f"block order and count must be positive, got m={m}, t={t}")
     return _canonical_spectrum(
@@ -139,7 +145,8 @@ def uniform_block_matrix(
     The diagonal block is the unique a'*I + b'*J of order m with row sum r
     and secondary eigenvalue d, namely d*I + ((r - d)/m)*J.
     """
-    r, d, b, m, t = map(_exact, (r, d, b, m, t))
+    r, d, b = map(_exact, (r, d, b))
+    m, t = operator.index(m), operator.index(t)
     if m < 1 or t < 1:
         raise ValueError(f"block order and count must be positive, got m={m}, t={t}")
     diag = ScalarMatrixSpec(d, _exact(Fraction(r - d, m)), m).realize()
@@ -205,7 +212,8 @@ class FactoredCharPoly(NamedTuple):
 
     @property
     def degree(self) -> int:
-        return self.e1 + self.e2 + 3
+        """e1 + e2 + the cubic's actual degree, which is 3 when its leading term is nonzero."""
+        return self.e1 + self.e2 + UniPoly(self.cubic).degree
 
     def expand(self) -> UniPoly:
         return _times_linear_powers(
@@ -277,7 +285,8 @@ def spectrum_closed(params: FamilyParams) -> Spectrum:
             entries += [(Fraction(a1 + sign * floor_sqrt, 2), 1) for sign in (1, -1)]
         else:
             entries += [(CubicRoot(_rounded_root(a1, disc, sign)), 1) for sign in (1, -1)]
-        # ordering the spectrum takes every eigenvalue's float
+        for value, _ in entries:
+            float(value)  # the CLI prints every eigenvalue's float
         return _canonical_spectrum(entries)
     except OverflowError:
         raise UnsupportedShape(

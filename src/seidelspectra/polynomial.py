@@ -15,7 +15,7 @@ import numpy as np
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["UniPoly", "X", "constant"]
+__all__ = ["UniPoly", "X"]
 
 
 class UniPoly:
@@ -39,10 +39,6 @@ class UniPoly:
         """Highest power with a nonzero coefficient; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @property
-    def leading(self) -> Scalar:
-        return self.coeffs[-1] if self.coeffs else 0
-
     def coeff(self, i: int) -> Scalar:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -61,12 +57,6 @@ class UniPoly:
         if isinstance(other, (int, Fraction)):
             return self.degree <= 0 and (self.coeffs[0] if self.coeffs else 0) == other
         return NotImplemented
-
-    def __hash__(self) -> int:
-        # constants hash like their scalar value so eq/hash stay consistent
-        if self.degree <= 0:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(-c for c in self.coeffs)
@@ -93,7 +83,7 @@ class UniPoly:
 
     def __rsub__(self, other: Scalar) -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            return constant(other) + (-self)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
@@ -149,11 +139,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
-
-
-def constant(value: Scalar) -> UniPoly:
-    """The constant polynomial with the given value."""
-    return UniPoly((value,))
 
 
 def _linear_power(c: Scalar, e: int) -> UniPoly:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from seidelspectra import cli
-from seidelspectra.cli import N_CAP_ENV, main, run
+from seidelspectra.cli import main, run
 from seidelspectra.verify import DENSE_N_MAX, N_MAX
 
 CSV_HEADER = "h,p,k,n,exact_match,max_dev,elapsed_ms"
@@ -180,10 +180,9 @@ def test_sweep_unwritable_path(capsys):
     assert captured.err.startswith("error:")
 
 
-def test_sweep_n_cap_from_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(N_CAP_ENV, "4")
+def test_sweep_n_cap_flag_skips_points(tmp_path, capsys):
     out_path = tmp_path / "capped.csv"
-    code = main(["sweep", "--h-max", "3", "--k-max", "3",
+    code = main(["sweep", "--h-max", "3", "--k-max", "3", "--n-cap", "4",
                  "--out", str(out_path)])
     captured = capsys.readouterr()
     assert code == 0
@@ -191,27 +190,8 @@ def test_sweep_n_cap_from_environment(tmp_path, capsys, monkeypatch):
     assert len(out_path.read_text(encoding="utf-8").splitlines()) == 5
 
 
-def test_sweep_n_cap_flag_beats_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(N_CAP_ENV, "4")
-    out_path = tmp_path / "full.csv"
-    code = main(["sweep", "--h-max", "3", "--k-max", "3",
-                 "--n-cap", "40", "--out", str(out_path)])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.out.strip() == "10 passed, 0 failed, 0 skipped"
-
-
-def test_sweep_bad_environment_value(capsys, monkeypatch):
-    monkeypatch.setenv(N_CAP_ENV, "zap")
-    code = main(["sweep", "--h-max", "2", "--k-max", "2"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert N_CAP_ENV in captured.err
-
-
-def test_sweep_json_rows(capsys, monkeypatch):
-    monkeypatch.setenv(N_CAP_ENV, "4")
-    code = main(["sweep", "--h-max", "3", "--k-max", "3",
+def test_sweep_json_rows(capsys):
+    code = main(["sweep", "--h-max", "3", "--k-max", "3", "--n-cap", "4",
                  "--format", "json"])
     captured = capsys.readouterr()
     assert code == 0

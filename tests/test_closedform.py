@@ -169,6 +169,9 @@ def test_factored_charpoly_hand_instances():
     star = charpoly_closed(make_params(2, 1, 3))
     assert star == FactoredCharPoly(-1, 1, 1, 0, (3, 5, 1, -1))
     assert star.expand() == (-1 - X) * UniPoly([3, 5, 1, -1])
+    # the degree counts the cubic's actual degree, as the expansion does
+    quadratic = star._replace(cubic=(3, 5, 1, 0))
+    assert quadratic.degree == quadratic.expand().degree == 3
 
 
 def test_factored_charpoly_bookkeeping():
@@ -177,7 +180,7 @@ def test_factored_charpoly_bookkeeping():
         assert fac.e1 == params.k - 2 >= 0
         assert fac.e2 == params.n - params.k - 1 >= 0
         assert fac.degree == params.n
-        assert fac.expand().leading == (-1) ** params.n
+        assert fac.expand().coeffs[-1] == (-1) ** params.n
         assert fac.root1 == 1 - 2 * params.p
         assert fac.root2 == 1
     with pytest.raises(DegenerateFamily):

@@ -7,21 +7,25 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from seidelspectra import linalg
+from seidelspectra.cli import main
 from seidelspectra.closedform import (
     ScalarMatrixSpec,
+    adjugate_negK_closed,
     charpoly_closed,
     spectrum_aI_bJ,
     spectrum_closed,
     spectrum_uniform_blocks,
     uniform_block_matrix,
 )
-from seidelspectra.errors import InvalidParams
+from seidelspectra.errors import InvalidParams, UnsupportedShape
 from seidelspectra.family import make_params
 from seidelspectra.linalg import (
     adjugate_exact,
     det_exact,
     exact_matrix,
+    inverse_exact,
     schur_block_det,
+    schur_block_det_adjugate,
     zeros_matrix,
 )
 from seidelspectra.polynomial import X, _exact
@@ -113,3 +117,62 @@ def test_numpy_integer_inputs_are_normalized_before_any_arithmetic():
     blocks = spectrum_uniform_blocks(np.int64(2**62), 0, np.int64(2**62), np.int64(4), 2)
     assert blocks.entries == ((2**62 + 2**64, 1), (0, 6), (2**62 - 2**64, 1))
     assert uniform_block_matrix(0, 0, np.int64(2**62), np.int64(4), 2)[0, 4] == 2**62
+
+
+def test_spectrum_entries_are_ordered_by_exact_value():
+    # 10^20 - 2 and 10^20 round to one float, and 10^400 to none
+    assert spectrum_aI_bJ(ScalarMatrixSpec(10**20, -1, 2)).entries == (
+        (10**20, 1), (10**20 - 2, 1))
+    assert spectrum_aI_bJ(ScalarMatrixSpec(10**400, 1, 2)).entries == (
+        (10**400 + 2, 1), (10**400, 1))
+    # p = h gives a square discriminant, so every eigenvalue here is exact
+    with pytest.raises(UnsupportedShape, match="beyond the float range"):
+        spectrum_closed(make_params(10**400, 10**400, 2))
+
+
+NOT_AN_INTEGER = "cannot be interpreted as an integer"
+
+REFUSALS = {
+    "verify --tol abc": (
+        lambda: main(["verify", "--h", "5", "--p", "2", "--k", "3", "--tol", "abc"]),
+        SystemExit, "^2$"),
+    "ScalarMatrixSpec n = 5/2": (
+        lambda: spectrum_aI_bJ(ScalarMatrixSpec(1, 1, Fraction(5, 2))), TypeError, NOT_AN_INTEGER),
+    "spectrum_uniform_blocks m = 3/2": (
+        lambda: spectrum_uniform_blocks(1, 0, 0, Fraction(3, 2), 2), TypeError, NOT_AN_INTEGER),
+    "spectrum_uniform_blocks t = Fraction(2)": (
+        lambda: spectrum_uniform_blocks(1, 0, 0, 2, Fraction(2)), TypeError, NOT_AN_INTEGER),
+    "uniform_block_matrix m = Fraction(2)": (
+        lambda: uniform_block_matrix(1, 0, 0, Fraction(2), 2), TypeError, NOT_AN_INTEGER),
+    "ScalarMatrixSpec n = 0": (
+        lambda: spectrum_aI_bJ(ScalarMatrixSpec(1, 1, 0)), ValueError, "n must be positive"),
+    "spectrum_uniform_blocks m = 0": (
+        lambda: spectrum_uniform_blocks(1, 0, 0, 0, 2), ValueError, "m=0, t=2"),
+    "spectrum_uniform_blocks t = 0": (
+        lambda: spectrum_uniform_blocks(1, 0, 0, 2, 0), ValueError, "m=2, t=0"),
+    "uniform_block_matrix m = 0": (
+        lambda: uniform_block_matrix(1, 0, 0, 0, 2), ValueError, "m=0, t=2"),
+    "uniform_block_matrix t = 0": (
+        lambda: uniform_block_matrix(1, 0, 0, 2, 0), ValueError, "m=2, t=0"),
+    "adjugate_negK_closed(1)": (
+        lambda: adjugate_negK_closed(1), ValueError, "at least 2"),
+    "inverse_exact([[X]])": (
+        lambda: inverse_exact([[X]]), TypeError, "int and Fraction entries only"),
+    "schur_block_det top-right shape": (
+        lambda: schur_block_det([[1]], [[0, 0]], [[0]], [[1]]), ValueError,
+        r"top-right block must be 1x1, got \(1, 2\)"),
+    "X + 'a'": (lambda: X + "a", TypeError, "unsupported operand"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", REFUSALS.values(), ids=REFUSALS.keys())
+def test_each_refusal_fires(call, error, match, capsys):
+    with pytest.raises(error, match=match):
+        call()
+    if error is SystemExit:
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", [schur_block_det, schur_block_det_adjugate])
+def test_schur_routes_give_det_d_for_an_empty_top_left_block(route):
+    assert route(zeros_matrix(0), zeros_matrix(0, 2), zeros_matrix(2, 0), [[2, 1], [1, 3]]) == 5

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -8,7 +9,8 @@ from hypothesis import example, given, seed, settings, strategies as st
 from seidelspectra.errors import InvalidParams, NotSymmetric, UnsupportedShape
 from seidelspectra.family import make_params, seidel_matrix
 from seidelspectra.linalg import identity_matrix, ones_matrix
-from seidelspectra.closedform import FactoredCharPoly
+from seidelspectra.cli import main
+from seidelspectra.closedform import FactoredCharPoly, Spectrum
 from seidelspectra.polynomial import UniPoly, _times_linear_powers
 from seidelspectra.verify import (
     DENSE_N_MAX,
@@ -105,6 +107,37 @@ def test_vieta_trace_reads_the_closed_cubic(shift, monkeypatch):
     assert not report.invariant_results.vieta_trace
     assert report.invariant_results.trace_zero
     assert not report.passed()
+
+
+def _one_fewer(spectrum):
+    *head, (value, mult) = spectrum.entries
+    return Spectrum(tuple(head) + (((value, mult - 1),) if mult > 1 else ()))
+
+
+def _one_more(spectrum):
+    *head, (value, mult) = spectrum.entries
+    return Spectrum(tuple(head) + ((value, mult + 1),))
+
+
+@pytest.mark.parametrize("change, dimension_shift", [(_one_fewer, -1), (_one_more, 1)],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("h, p, k", [(5, 2, 3), (1000, 300, 31)], ids=["n=9", "n=10^4"])
+def test_a_spectrum_of_the_wrong_length_fails_verify(h, p, k, change, dimension_shift,
+                                                      capsys, monkeypatch):
+    # the numeric referee zips the spectrum with eigvalsh's values, so it cannot see
+    # a missing or extra eigenvalue; above DENSE_N_MAX it does not run at all
+    from seidelspectra import verify
+
+    real = verify.spectrum_closed
+    monkeypatch.setattr(verify, "spectrum_closed", lambda params: change(real(params)))
+    code = main(["verify", "--h", str(h), "--p", str(p), "--k", str(k), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["charpoly_exact_match"] is True
+    assert payload["invariants"] == {"trace_zero": True, "sum_squares": True,
+                                     "degree": False, "vieta_trace": True}
+    dimension = sum(e["multiplicity"] for e in payload["eigenvalues"])
+    assert dimension == payload["params"]["n"] + dimension_shift
 
 
 @pytest.mark.parametrize("index, shift, holds", [
