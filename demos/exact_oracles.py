@@ -4,9 +4,10 @@ Exact determinants and characteristic polynomials
 
 """
 
-# All oracle arithmetic is exact: integer matrices stay integer (Bareiss),
-# rational ones stay rational, and polynomial matrices are expanded over
-# the integers.  Nothing here knows the closed forms it will later check.
+# All oracle arithmetic is exact: integer matrices stay integer and rational
+# ones stay rational under Bareiss elimination, and polynomial matrices go
+# through the same elimination with exact polynomial division.  Nothing here
+# knows the closed forms it will later check.
 from seidelspectra.family import make_params, seidel_matrix
 from seidelspectra.linalg import (
     adjugate_exact,
@@ -20,13 +21,15 @@ from seidelspectra.linalg import (
     schur_block_det_adjugate,
 )
 
-# charpoly_oracle reduces the matrix to Hessenberg form modulo word-size
-# primes and recombines the residues by the Chinese remainder theorem up to
-# a proven bound on the coefficients, so coefficients are exact at any size.
+# charpoly_oracle deflates classes of twin vertices until none merge; every
+# family matrix leaves a residual of at most 2 rows, whose characteristic
+# polynomial is read off its entries.  A larger residual would be reduced to
+# Hessenberg form modulo word-size primes and recombined by the Chinese
+# remainder theorem up to a proven bound, so coefficients are exact at any size.
 s = seidel_matrix(make_params(3, 1, 2))
 print("charpoly of the Seidel matrix:", charpoly_oracle(s))
 
-# det(M - x*I) can also be computed by expanding the polynomial matrix
+# det(M - x*I) can also be computed by eliminating the polynomial matrix
 # directly; the two routes must agree coefficient for coefficient.
 print("same thing via polynomial det:", det_exact(char_matrix(s)))
 

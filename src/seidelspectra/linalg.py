@@ -9,9 +9,9 @@ ints, ``fractions.Fraction`` values or
 where big-int, rational or polynomial arithmetic needs them; nothing in
 this module touches floating point.  Each public call puts its entries
 through the one normalizer, :func:`~seidelspectra.polynomial._exact`, once.
-One Bareiss elimination, dividing exactly on ints and Fractions, gives
-determinants, Gauss-Jordan over Fraction gives inverses, and cofactor
-expansion gives adjugates and polynomial-entried determinants.
+One Bareiss elimination, dividing exactly on ints, Fractions and
+polynomials alike, gives every determinant; cofactors of it give adjugates,
+and Gauss-Jordan over Fraction gives inverses.
 Characteristic polynomials of integer matrices deflate classes of twin
 vertices (any integer entry between twins; found by exact byte keys when
 small, else by an exactly checked row hash) until none merge (Godsil and
@@ -38,7 +38,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import InternalError, SingularBlock, SingularInput
-from .polynomial import UniPoly, X, _exact, _times_linear_powers
+from .polynomial import UniPoly, X, _exact, _exact_quotient, _times_linear_powers
 
 #: Matrices in this package are 2-d numpy arrays: signed integers (int8 for
 #: the family's block layout), dtype=object with exact entries everywhere else.
@@ -131,13 +131,17 @@ def _require_square(a: Matrix, what: str) -> int:
     return a.shape[0]
 
 
-def _det_bareiss(m: list[list[int | Fraction]]) -> int | Fraction:
+def _det_bareiss(m: list[list[Entry]]) -> Entry:
     """Fraction-free elimination (Bareiss, *Math. Comp.* 22, 1968): by Sylvester's
-    identity, over Z and Q alike, each division by the last pivot is exact."""
+    identity each division by the last pivot is exact over any integral domain, so
+    one loop serves ints, Fractions and polynomials (every entry lifted to UniPoly)."""
     n = len(m)
     sign = 1
     ints = all(type(e) is int for row in m for e in row)  # then // is exact, and fast
     divide, prev = (operator.floordiv, 1) if ints else (operator.truediv, Fraction(1))
+    if any(isinstance(e, UniPoly) for row in m for e in row):
+        m = [[e if isinstance(e, UniPoly) else UniPoly((e,)) for e in row] for row in m]
+        divide, prev = _exact_quotient, UniPoly((1,))
     for r in range(n - 1):
         if m[r][r] == 0:
             for rr in range(r + 1, n):
@@ -155,32 +159,6 @@ def _det_bareiss(m: list[list[int | Fraction]]) -> int | Fraction:
     return sign * m[n - 1][n - 1]
 
 
-def _det_ring(m: list[list[Entry]]) -> Entry:
-    """Determinant over any exact commutative ring.
-
-    Subset dynamic program over column sets: f[S] is the determinant of the
-    first |S| rows restricted to the columns in S, built by expansion along
-    the last of those rows.  O(n * 2^n) ring operations, fine for the n <= 8
-    symbolic matrices this package needs.
-    """
-    n = len(m)
-    f: list[Entry] = [0] * (1 << n)
-    f[0] = 1
-    for mask in range(1, 1 << n):
-        t = mask.bit_count()
-        row = m[t - 1]
-        sgn = 1 if (t - 1) % 2 == 0 else -1
-        acc: Entry = 0
-        for j in range(n):
-            if mask >> j & 1:
-                entry = row[j]
-                if entry != 0:
-                    acc = acc + sgn * entry * f[mask ^ (1 << j)]
-                sgn = -sgn
-        f[mask] = acc
-    return f[(1 << n) - 1]
-
-
 def det_exact(m: object) -> Entry:
     """Exact determinant of a square matrix with int/Fraction/UniPoly entries."""
     return _det(exact_matrix(m))
@@ -190,10 +168,7 @@ def _det(a: Matrix) -> Entry:
     """det_exact of an object array whose entries are already exact."""
     if _require_square(a, "determinant") == 0:
         return 1
-    entries = a.tolist()
-    if any(isinstance(e, UniPoly) for row in entries for e in row):
-        return _det_ring(entries)
-    return _exact(_det_bareiss(entries))
+    return _exact(_det_bareiss(a.tolist()))
 
 
 #: Dimension limit of the modular oracle: a dot product of n terms below

@@ -13,6 +13,8 @@ from typing import Iterable, Union
 
 import numpy as np
 
+from .errors import InternalError
+
 Scalar = Union[int, Fraction]
 
 __all__ = ["UniPoly", "X"]
@@ -173,6 +175,19 @@ def _exact(value: object) -> Union[Scalar, UniPoly]:
     if isinstance(value, UniPoly):
         return value
     raise TypeError(f"exact values are int, Fraction or UniPoly, got {type(value).__name__}")
+
+
+def _exact_quotient(a: UniPoly, b: UniPoly) -> UniPoly:
+    """a / b by long division; a remainder means an exactness invariant failed."""
+    rem, top = list(a.coeffs), b.degree
+    quotient = [0] * max(len(rem) - top, 0)
+    for i in reversed(range(len(quotient))):
+        q = quotient[i] = _exact(Fraction(rem[i + top], b.coeffs[top]))
+        for j, c in enumerate(b.coeffs):
+            rem[i + j] -= q * c
+    if any(rem):
+        raise InternalError(f"polynomial division not exact: ({a}) / ({b})")
+    return UniPoly(quotient)
 
 
 #: The variable itself, for building polynomials expression-style.

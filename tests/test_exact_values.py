@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from seidelspectra import linalg
 from seidelspectra.cli import main
 from seidelspectra.closedform import (
     ScalarMatrixSpec,
@@ -81,9 +80,9 @@ def rational_matrices(draw, max_dim=7):
 @seed(20261020)
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
-def test_det_matches_the_subset_expansion_property(m):
+def test_det_matches_the_cofactor_expansion_property(cofactor_det, m):
     value = det_exact(m)
-    assert value == linalg._det_ring(m)
+    assert value == cofactor_det(m)
     assert type(value) is int or value.denominator != 1
 
 

@@ -29,22 +29,6 @@ from seidelspectra.linalg import (
 from seidelspectra.polynomial import UniPoly, X
 
 
-def cofactor_det(rows):
-    """Reference determinant by first-row cofactor expansion: slow, obviously right."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j, entry in enumerate(rows[0]):
-        if entry == 0:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        total += (1 if j % 2 == 0 else -1) * entry * cofactor_det(minor)
-    return total
-
-
 def random_matrix(rng, n, lo=-3, hi=3):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
@@ -88,11 +72,31 @@ def test_det_known_values():
     assert det_exact(zeros_matrix(0)) == 1
 
 
-def test_det_matches_cofactor_reference(rng):
+def random_entry(rng):
+    """An int, a Fraction or a polynomial of degree at most 2, from [-3, 3]."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-3, 3)
+    if kind == 1:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    return UniPoly([rng.randint(-3, 3) for _ in range(3)])
+
+
+def test_det_matches_cofactor_reference(rng, cofactor_det):
     for _ in range(60):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n)
         assert det_exact(m) == cofactor_det(m)
+    polynomial = 0
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        m = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.3:
+            m[-1] = list(m[rng.randrange(n - 1)])  # singular
+        value = det_exact(m)
+        assert value == cofactor_det(m)
+        polynomial += isinstance(value, UniPoly) and value.degree > 0
+    assert polynomial >= 20  # Bareiss over Q[x] was really exercised
 
 
 def test_det_product_rule(rng):
@@ -272,7 +276,7 @@ def test_adjugate_known_values():
     assert same_matrix(ones_matrix(2) @ adj_j2, zeros_matrix(2))
 
 
-def test_adjugate_identity_random_including_singular(rng):
+def test_adjugate_identity_random_including_singular(rng, cofactor_det):
     for trial in range(30):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n)
@@ -281,6 +285,16 @@ def test_adjugate_identity_random_including_singular(rng):
         a = exact_matrix(m)
         d = det_exact(a)
         assert same_matrix(a @ adjugate_exact(a), d * identity_matrix(n))
+    for trial in range(20):  # ints, Fractions and polynomials, against the cofactors too
+        n = rng.randint(1, 5)
+        m = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n >= 2:
+            m[-1] = list(m[0])  # force singular
+        adj = adjugate_exact(m)
+        for i, j in itertools.product(range(n), repeat=2):
+            minor = [row[:j] + row[j + 1:] for r, row in enumerate(m) if r != i]
+            assert adj[j, i] == (-1) ** (i + j) * cofactor_det(minor)
+        assert same_matrix(exact_matrix(m) @ adj, det_exact(m) * identity_matrix(n))
 
 
 def test_inverse_exact():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, strategies as st
 
-from seidelspectra.polynomial import UniPoly, X, _linear_power
+from seidelspectra.errors import InternalError
+from seidelspectra.polynomial import UniPoly, X, _exact_quotient, _linear_power
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
 sample_points = st.integers(min_value=-10, max_value=10)
@@ -115,3 +116,13 @@ def test_linear_power_matches_repeated_squaring():
     assert _linear_power(Fraction(1, 2), 5) == (Fraction(1, 2) - X) ** 5
     with pytest.raises(ValueError):
         _linear_power(1, -1)
+
+
+def test_exact_quotient_divides_and_refuses_a_remainder():
+    a, b = (X - 1) * (3 * X + Fraction(1, 2)), 2 * X - 2
+    assert _exact_quotient(a, b) == Fraction(3, 2) * X + Fraction(1, 4)
+    assert _exact_quotient(UniPoly(), b) == UniPoly()
+    assert _exact_quotient(UniPoly([6]), UniPoly([3])).coeffs == (2,)
+    for num, den in ((X**2 + 1, X), (UniPoly([1]), X), (a + 1, b)):
+        with pytest.raises(InternalError):
+            _exact_quotient(num, den)
