@@ -8,7 +8,6 @@ Closed-form spectra without any matrix work
 # (1 - 2p - x)^(k-2) * (1 - x)^(n-k-1) * s(x) with s an integer cubic, so
 # spectra come straight from the parameters.
 from seidelspectra.closedform import (
-    ScalarMatrixSpec,
     charpoly_closed,
     cubic_s,
     spectrum_aI_bJ,
@@ -33,7 +32,7 @@ for h, p, k in params_list:
 # Two helper spectra the factorization rests on.  First a*I + b*J, whose
 # eigenvalues are a + b*n (the all-ones direction) and a:
 print("spectrum of 2*I + 3*J, order 4:",
-      spectrum_aI_bJ(ScalarMatrixSpec(2, 3, 4)).entries)
+      spectrum_aI_bJ(2, 3, 4).entries)
 
 # Then a t x t array of order-m blocks: row sum r and secondary eigenvalue
 # d on the diagonal, b*J off it.  The secondary eigenvalue keeps one copy

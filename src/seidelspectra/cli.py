@@ -15,7 +15,7 @@ import sys
 
 from .closedform import CubicRoot, charpoly_closed, cubic_s, spectrum_closed
 from .errors import DegenerateFamily, InvalidParams, UnsupportedShape
-from .family import make_params, signed_edges, vertex_labels
+from .family import make_params, seidel_matrix, vertex_labels
 from .polynomial import UniPoly
 from .verify import DEFAULT_N_CAP, DENSE_N_MAX, discrepancy_notes, sweep, verify_instance
 
@@ -140,6 +140,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.out:  # a bad path fails before any point runs; "a" leaves the file as it is
+        open(args.out, "a", encoding="utf-8").close()
     summary = sweep(args.h_max, args.k_max, args.tol, args.n_cap)
     if args.format == "json":
         rows: list[dict] = [
@@ -186,26 +188,29 @@ def cmd_export(args: argparse.Namespace) -> int:
     params = make_params(args.h, args.p, args.k)
     if params.n > DENSE_N_MAX:
         raise UnsupportedShape(f"n = {params.n} is above DENSE_N_MAX = {DENSE_N_MAX}")
-    edges = signed_edges(params)
+    seidel = seidel_matrix(params)
+    # written row by row from the int8 matrix: the n(n-1)/2 pairs are never held at once
     if args.format == "json":
-        payload = {
-            "n": params.n,
-            "negative_edges": [[i, j] for i, j, sign in edges if sign == -1],
-        }
-        print(json.dumps(payload))
+        sys.stdout.write(f'{{"n": {params.n}, "negative_edges": [')
+        sep = ""
+        for i, row in enumerate(seidel):
+            for j in ((row[i + 1:] < 0).nonzero()[0] + (i + 1)).tolist():
+                sys.stdout.write(f"{sep}[{i}, {j}]")
+                sep = ", "
+        print("]}")
         return 0
-    lines = ["graph G {"]
+    print("graph G {")
     for index, label in enumerate(vertex_labels(params)):
         name = (
             f"v{label.clique}_{label.slot}"
             if label.kind == "private"
             else f"u{label.slot}"
         )
-        lines.append(f'  {index} [label="{name}"];')
-    for i, j, sign in edges:
-        lines.append(f'  {i} -- {j} [sign="{"-" if sign == -1 else "+"}"];')
-    lines.append("}")
-    print("\n".join(lines))
+        print(f'  {index} [label="{name}"];')
+    for i, row in enumerate(seidel):
+        sys.stdout.write("".join(f'  {i} -- {j} [sign="{"-" if sign < 0 else "+"}"];\n'
+                                 for j, sign in enumerate(row[i + 1:].tolist(), i + 1)))
+    print("}")
     return 0
 
 

@@ -18,13 +18,12 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import ComplexRoots, DegenerateFamily, UnsupportedShape
 from .family import FamilyParams
-from .linalg import Matrix, assemble_blocks, exact_matrix, identity_matrix, ones_matrix
+from .linalg import Matrix, assemble_blocks, identity_matrix, ones_matrix
 from .polynomial import UniPoly, X, _exact, _times_linear_powers
 
 ExactValue = Union[int, Fraction]
 
 __all__ = [
-    "ScalarMatrixSpec",
     "CubicRoot",
     "Spectrum",
     "FactoredCharPoly",
@@ -37,17 +36,6 @@ __all__ = [
     "charpoly_closed",
     "spectrum_closed",
 ]
-
-
-class ScalarMatrixSpec(NamedTuple):
-    """The matrix a*I_n + b*J_n, kept as its two coefficients."""
-
-    a: ExactValue
-    b: ExactValue
-    n: int
-
-    def realize(self) -> Matrix:
-        return exact_matrix(_exact(self.a) * identity_matrix(self.n) + _exact(self.b))
 
 
 class CubicRoot(NamedTuple):
@@ -95,13 +83,22 @@ def _canonical_spectrum(entries: Sequence[tuple[SpectrumValue, int]]) -> Spectru
         reverse=True)))
 
 
-def spectrum_aI_bJ(spec: ScalarMatrixSpec) -> Spectrum:
+def spectrum_aI_bJ(a: ExactValue, b: ExactValue, n: int) -> Spectrum:
     """Eigenvalues of a*I_n + b*J_n: a + b*n once, a with multiplicity n - 1."""
     # before any arithmetic, so that no numpy integer wraps
-    a, b, n = _exact(spec.a), _exact(spec.b), operator.index(spec.n)
+    a, b, n = _exact(a), _exact(b), operator.index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     return _canonical_spectrum([(a + b * n, 1), (a, n - 1)])
+
+
+def _block_args(r: ExactValue, d: ExactValue, b: ExactValue, m: int, t: int) -> tuple:
+    """(r, d, b) made exact and (m, t) checked positive ints, before any arithmetic."""
+    r, d, b = map(_exact, (r, d, b))
+    m, t = operator.index(m), operator.index(t)
+    if m < 1 or t < 1:
+        raise ValueError(f"block order and count must be positive, got m={m}, t={t}")
+    return r, d, b, m, t
 
 
 def spectrum_uniform_blocks(
@@ -120,10 +117,7 @@ def spectrum_uniform_blocks(
     within-block eigenvectors in each of the t block positions, and only
     t*(m-1) makes the multiplicities sum to the dimension m*t.
     """
-    r, d, b = map(_exact, (r, d, b))
-    m, t = operator.index(m), operator.index(t)
-    if m < 1 or t < 1:
-        raise ValueError(f"block order and count must be positive, got m={m}, t={t}")
+    r, d, b, m, t = _block_args(r, d, b, m, t)
     return _canonical_spectrum(
         [
             (r + b * m * (t - 1), 1),
@@ -145,11 +139,8 @@ def uniform_block_matrix(
     The diagonal block is the unique a'*I + b'*J of order m with row sum r
     and secondary eigenvalue d, namely d*I + ((r - d)/m)*J.
     """
-    r, d, b = map(_exact, (r, d, b))
-    m, t = operator.index(m), operator.index(t)
-    if m < 1 or t < 1:
-        raise ValueError(f"block order and count must be positive, got m={m}, t={t}")
-    diag = ScalarMatrixSpec(d, _exact(Fraction(r - d, m)), m).realize()
+    r, d, b, m, t = _block_args(r, d, b, m, t)
+    diag = d * identity_matrix(m) + Fraction(r - d, m)
     off = b * ones_matrix(m)
     return assemble_blocks(
         [[diag if i == j else off for j in range(t)] for i in range(t)]

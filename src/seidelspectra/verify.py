@@ -156,14 +156,16 @@ def verify_instance(params: FamilyParams) -> VerificationReport:
     if params.n > N_MAX:
         raise UnsupportedShape(f"n = {params.n} is above N_MAX = {N_MAX}")
     start = time.perf_counter()
-    _, p, k, n = params
+    n = params.n
     dense = n <= DENSE_N_MAX
     seidel = seidel_matrix(params)
     factored = charpoly_closed(params)
+    # the factored match and the invariants read the closed form here, and nowhere else
+    root1, e1, root2, e2, (_, c1, c2, c3) = factored
     residual, roots = _charpoly_factored(seidel)
     diffs: tuple[tuple[int, int, int], ...] = ()
     # a negative exponent is no polynomial, and the expansion refuses it
-    match = min(factored.e1, factored.e2) >= 0 and _same_product(factored, residual, roots)
+    match = min(e1, e2) >= 0 and _same_product(factored, residual, roots)
     if not match and dense:
         # only a mismatch pays for expanding both sides into a diff
         closed = factored.expand()
@@ -190,24 +192,23 @@ def verify_instance(params: FamilyParams) -> VerificationReport:
     # tr S^2 for symmetric S is the sum of its squared entries; exact in
     # int64 (int8 would wrap), as the entries are -1, 0 or 1 and n^2 < 2^63
     trace_sq = int(np.einsum("ij,ij->", seidel, seidel, dtype=np.int64))
-    _, c1, c2, c3 = factored.cubic
     oracle_degree, oracle_third = _degree_and_third(residual, roots)
-    linear_sq = (1 - 2 * p) ** 2 * (k - 2) + (n - k - 1)
     invariants = InvariantResults(
         trace_zero=trace == 0,
         # the cubic's roots' squares sum to (c2^2 - 2*c1*c3)/c3^2; with the
-        # linear factors' squares they must give tr S^2
+        # linear factors' e1*root1^2 + e2*root2^2 they must give tr S^2
         sum_squares=(
             oracle_third == sum_sq_coeff
             and (not dense or abs(squares - n * (n - 1)) <= squares_gate)
-            and c3 * c3 * (linear_sq - trace_sq) + c2 * c2 - 2 * c1 * c3 == 0
+            and c3 * c3 * (e1 * root1 * root1 + e2 * root2 * root2 - trace_sq)
+            + c2 * c2 - 2 * c1 * c3 == 0
         ),
         # a spectrum's dimension too: the numeric referee's zip stops at the shorter side
         degree=(oracle_degree == factored.degree == n
                 and (spectrum is None or spectrum.dimension == n)),
         # the cubic's roots sum to -c2/c3, the linear factors' eigenvalues
-        # to (1-2p)(k-2) + (n-k-1); together they must give tr S
-        vieta_trace=c3 * ((1 - 2 * p) * (k - 2) + (n - k - 1) - trace) == c2,
+        # to e1*root1 + e2*root2; together they must give tr S
+        vieta_trace=c3 * (e1 * root1 + e2 * root2 - trace) == c2,
     )
     return VerificationReport(
         params=params, charpoly_exact_match=match, coefficient_diffs=diffs,

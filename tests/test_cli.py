@@ -180,6 +180,31 @@ def test_sweep_unwritable_path(capsys):
     assert captured.err.startswith("error:")
 
 
+def test_sweep_out_into_a_missing_directory_fails_before_any_point(tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the grid ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    path = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--h-max", "3", "--k-max", "2", "--out", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert not path.parent.exists()
+
+
+def test_a_refused_sweep_leaves_its_out_file_as_it_was(tmp_path, capsys):
+    path = tmp_path / "kept.csv"
+    path.write_text("earlier results\n", encoding="utf-8")
+    assert main(["sweep", "--h-max", "100000", "--k-max", "2", "--out", str(path)]) == 2
+    assert "SWEEP_POINTS_MAX" in capsys.readouterr().err
+    assert path.read_text(encoding="utf-8") == "earlier results\n"
+    # a grid that runs replaces what was there
+    assert main(["sweep", "--h-max", "2", "--k-max", "2", "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8").splitlines()[0] == CSV_HEADER
+
+
 def test_sweep_n_cap_flag_skips_points(tmp_path, capsys):
     out_path = tmp_path / "capped.csv"
     code = main(["sweep", "--h-max", "3", "--k-max", "3", "--n-cap", "4",
@@ -280,6 +305,49 @@ def test_export_json_edge_lists(capsys):
                  "--format", "json"]) == 0
     single = json.loads(capsys.readouterr().out)
     assert single == {"n": 2, "negative_edges": [[0, 1]]}
+
+
+def export_from_signed_edges(params, fmt):
+    """What export printed when it formatted ``family.signed_edges`` whole."""
+    from seidelspectra.family import signed_edges, vertex_labels
+
+    edges = signed_edges(params)
+    if fmt == "json":
+        return json.dumps({"n": params.n,
+                           "negative_edges": [[i, j] for i, j, s in edges if s == -1]}) + "\n"
+    names = [f"v{v.clique}_{v.slot}" if v.kind == "private" else f"u{v.slot}"
+             for v in vertex_labels(params)]
+    lines = ["graph G {", *(f'  {i} [label="{name}"];' for i, name in enumerate(names)),
+             *(f'  {i} -- {j} [sign="{"-" if s == -1 else "+"}"];' for i, j, s in edges), "}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_prints_every_pair_of_the_signed_edges(fmt, capsys):
+    from seidelspectra.family import make_params
+
+    for h, p, k in [(2, 1, 1), (2, 2, 1), (3, 1, 2), (2, 1, 3), (4, 2, 3), (5, 5, 2),
+                    (6, 3, 4), (3, 2, 5)]:
+        assert main(["export", "--h", str(h), "--p", str(p), "--k", str(k),
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().out == export_from_signed_edges(make_params(h, p, k), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json"])
+def test_export_holds_no_edge_list(fmt, tmp_path, monkeypatch):
+    import tracemalloc
+
+    # n = 1000: 499 500 pairs, 12 MB of dot and 6 MB of JSON; as Python triples they took 110 MB
+    with open(tmp_path / f"graph.{fmt}", "w", encoding="utf-8") as handle:
+        monkeypatch.setattr(sys, "stdout", handle)
+        tracemalloc.start()
+        try:
+            assert main(["export", "--h", "999", "--p", "1", "--k", "2", "--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert (tmp_path / f"graph.{fmt}").stat().st_size > 10**6
 
 
 def test_run_entry_point(capsys, monkeypatch):
@@ -396,7 +464,7 @@ def test_n_above_n_max_is_refused_before_any_work(argv, capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "seidel_matrix", no_work)
     monkeypatch.setattr(closedform.FactoredCharPoly, "expand", no_work)
-    monkeypatch.setattr(cli, "signed_edges", no_work)
+    monkeypatch.setattr(cli, "seidel_matrix", no_work)
     monkeypatch.setattr(cli, "vertex_labels", no_work)
     start = time.perf_counter()
     assert main(argv) == 2

@@ -7,7 +7,6 @@ import pytest
 from seidelspectra.closedform import (
     CubicRoot,
     FactoredCharPoly,
-    ScalarMatrixSpec,
     adjugate_negK_closed,
     charpoly_closed,
     cubic_s,
@@ -25,6 +24,7 @@ from seidelspectra.linalg import (
     charpoly_oracle,
     complete_adjacency,
     exact_matrix,
+    identity_matrix,
 )
 from seidelspectra.polynomial import UniPoly, X
 from seidelspectra.verify import eig_numeric
@@ -38,17 +38,20 @@ def grid(h_max=6, k_max=5):
 
 
 def test_scalar_matrix_spectrum_examples():
-    assert spectrum_aI_bJ(ScalarMatrixSpec(0, 1, 3)).entries == ((3, 1), (0, 2))
-    assert spectrum_aI_bJ(ScalarMatrixSpec(2, 0, 4)).entries == ((2, 4),)
-    assert spectrum_aI_bJ(ScalarMatrixSpec(1, -1, 2)).entries == ((1, 1), (-1, 1))
-    assert spectrum_aI_bJ(ScalarMatrixSpec(2, 3, 1)).entries == ((5, 1),)
+    assert spectrum_aI_bJ(0, 1, 3).entries == ((3, 1), (0, 2))
+    assert spectrum_aI_bJ(2, 0, 4).entries == ((2, 4),)
+    assert spectrum_aI_bJ(1, -1, 2).entries == ((1, 1), (-1, 1))
+    assert spectrum_aI_bJ(2, 3, 1).entries == ((5, 1),)
 
 
 def test_scalar_matrix_eigenvector_identity():
     for a in range(-3, 4):
         for b in range(-3, 4):
             for n in range(1, 7):
-                m = ScalarMatrixSpec(a, b, n).realize()
+                m = a * identity_matrix(n) + b
+                # t = 1: the block matrix is its own diagonal block d*I + ((r - d)/m)*J
+                assert (uniform_block_matrix(a + b * n, a, 0, n, 1) == m).all()
+                assert spectrum_aI_bJ(a, b, n).approx() == pytest.approx(eig_numeric(m))
                 ones = np.full((n, 1), 1, dtype=object)
                 assert ((m @ ones) == (a + b * n) * ones).all()
                 for i in range(1, n):

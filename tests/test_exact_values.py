@@ -8,7 +8,6 @@ from hypothesis import given, seed, settings, strategies as st
 
 from seidelspectra.cli import main
 from seidelspectra.closedform import (
-    ScalarMatrixSpec,
     adjugate_negK_closed,
     charpoly_closed,
     spectrum_aI_bJ,
@@ -33,7 +32,7 @@ FLOAT_CALLS = {
     "exact_matrix": lambda: exact_matrix([[0.5, 0], [0, 1]]),
     "det_exact": lambda: det_exact([[1, 0.5], [0, 1]]),
     "schur_block_det": lambda: schur_block_det([[1]], [[0]], [[0]], [[0.5]]),
-    "spectrum_aI_bJ": lambda: spectrum_aI_bJ(ScalarMatrixSpec(0.1, 0, 2)),
+    "spectrum_aI_bJ": lambda: spectrum_aI_bJ(0.1, 0, 2),
     "spectrum_uniform_blocks": lambda: spectrum_uniform_blocks(0.5, 0.25, 1, 2, 2),
     "uniform_block_matrix": lambda: uniform_block_matrix(0.5, 1, 1, 2, 2),
 }
@@ -111,7 +110,7 @@ def test_closed_forms_take_numpy_integers_and_refuse_float_params():
 
 
 def test_numpy_integer_inputs_are_normalized_before_any_arithmetic():
-    wide = spectrum_aI_bJ(ScalarMatrixSpec(1, np.int64(2**62), np.int64(4)))
+    wide = spectrum_aI_bJ(1, np.int64(2**62), np.int64(4))
     assert wide.entries == ((1 + 2**64, 1), (1, 3))
     blocks = spectrum_uniform_blocks(np.int64(2**62), 0, np.int64(2**62), np.int64(4), 2)
     assert blocks.entries == ((2**62 + 2**64, 1), (0, 6), (2**62 - 2**64, 1))
@@ -120,9 +119,9 @@ def test_numpy_integer_inputs_are_normalized_before_any_arithmetic():
 
 def test_spectrum_entries_are_ordered_by_exact_value():
     # 10^20 - 2 and 10^20 round to one float, and 10^400 to none
-    assert spectrum_aI_bJ(ScalarMatrixSpec(10**20, -1, 2)).entries == (
+    assert spectrum_aI_bJ(10**20, -1, 2).entries == (
         (10**20, 1), (10**20 - 2, 1))
-    assert spectrum_aI_bJ(ScalarMatrixSpec(10**400, 1, 2)).entries == (
+    assert spectrum_aI_bJ(10**400, 1, 2).entries == (
         (10**400 + 2, 1), (10**400, 1))
     # p = h gives a square discriminant, so every eigenvalue here is exact
     with pytest.raises(UnsupportedShape, match="beyond the float range"):
@@ -135,16 +134,16 @@ REFUSALS = {
     "verify --tol abc": (
         lambda: main(["verify", "--h", "5", "--p", "2", "--k", "3", "--tol", "abc"]),
         SystemExit, "^2$"),
-    "ScalarMatrixSpec n = 5/2": (
-        lambda: spectrum_aI_bJ(ScalarMatrixSpec(1, 1, Fraction(5, 2))), TypeError, NOT_AN_INTEGER),
+    "spectrum_aI_bJ n = 5/2": (
+        lambda: spectrum_aI_bJ(1, 1, Fraction(5, 2)), TypeError, NOT_AN_INTEGER),
     "spectrum_uniform_blocks m = 3/2": (
         lambda: spectrum_uniform_blocks(1, 0, 0, Fraction(3, 2), 2), TypeError, NOT_AN_INTEGER),
     "spectrum_uniform_blocks t = Fraction(2)": (
         lambda: spectrum_uniform_blocks(1, 0, 0, 2, Fraction(2)), TypeError, NOT_AN_INTEGER),
     "uniform_block_matrix m = Fraction(2)": (
         lambda: uniform_block_matrix(1, 0, 0, Fraction(2), 2), TypeError, NOT_AN_INTEGER),
-    "ScalarMatrixSpec n = 0": (
-        lambda: spectrum_aI_bJ(ScalarMatrixSpec(1, 1, 0)), ValueError, "n must be positive"),
+    "spectrum_aI_bJ n = 0": (
+        lambda: spectrum_aI_bJ(1, 1, 0), ValueError, "n must be positive"),
     "spectrum_uniform_blocks m = 0": (
         lambda: spectrum_uniform_blocks(1, 0, 0, 0, 2), ValueError, "m=0, t=2"),
     "spectrum_uniform_blocks t = 0": (

@@ -374,7 +374,7 @@ def test_sweep_catches_every_cubic_coefficient_moved_by_one(index, shift, monkey
         assert min(deg for deg, _, _ in report.coefficient_diffs) == index
 
 
-@pytest.mark.parametrize("field", ["root1", "e1", "e2"])
+@pytest.mark.parametrize("field", ["root1", "e1", "e2", "root2"])
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_sweep_catches_every_linear_factor_moved_by_one(field, shift, monkeypatch):
     from seidelspectra import verify
@@ -388,18 +388,24 @@ def test_sweep_catches_every_linear_factor_moved_by_one(field, shift, monkeypatc
     monkeypatch.setattr(verify, "charpoly_closed", moved)
     summary = sweep(4, 3)
     assert summary.skipped == ()
-    # with k = 2 the factor (1 - 2p - x) has exponent 0, so moving its root
-    # leaves the polynomial as it is; every other point must fail
+    # a root whose exponent is 0 leaves the polynomial as it is when it moves:
+    # (1 - 2p - x) has exponent k - 2, and (1 - x) has n - k - 1 = 0 at h = 2, p = 1;
+    # every other point must fail, and the invariants must see the move too
+    exponent = {"root1": "e1", "root2": "e2"}.get(field)
     for report in summary.reports:
-        unchanged = field == "root1" and report.params.k == 2
+        unchanged = exponent is not None and getattr(real(report.params), exponent) == 0
         assert report.charpoly_exact_match is unchanged
         assert report.passed() is unchanged
+        assert report.invariant_results.vieta_trace is unchanged
+        assert report.invariant_results.sum_squares is unchanged
     # an exponent moved below 0 cannot be expanded: that point is an error
     for params, message in summary.errors:
-        assert field != "root1" and shift == -1
+        assert exponent is None and shift == -1
         assert message.startswith("ValueError: polynomial exponent")
     if field == "root1":
         assert summary.passed == summary.failed == 9
+    elif field == "root2":
+        assert summary.passed == 2 and summary.failed == 16
     else:
         assert summary.failed == 18 and summary.passed == 0
 
@@ -492,6 +498,9 @@ def test_a_moved_linear_factor_above_dense_n_max_fails_unexpanded(field, shift, 
     report = verify_instance(make_params(DENSE_N_MAX, 2, 3))
     assert report.numeric_skipped and not report.passed()
     assert not report.charpoly_exact_match and report.coefficient_diffs == ()
+    # the invariants read the moved factor too, not one of their own
+    assert not report.invariant_results.vieta_trace
+    assert not report.invariant_results.sum_squares
     # only factors of degree up to the cubic's were expanded, never (r - x)^n
     assert max(powers, default=0) <= 3
 
